@@ -75,14 +75,14 @@ def parse_coord(v):
             return rat(v)
         if isinstance(v, str):
             return rat(v.strip())
-    except (ValueError, ZeroDivisionError, TypeError) as e:
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as e:
         raise ParseError(f"bad coordinate {v!r}: {e}") from None
     raise ParseError(f"bad coordinate {v!r}")
 
 
-def _parse_ring(obj, what):
-    if not isinstance(obj, list) or len(obj) < 3:
-        raise ParseError(f"{what} must be a list of at least 3 points")
+def _parse_points(obj, what, least):
+    if not isinstance(obj, list) or len(obj) < least:
+        raise ParseError(f"{what} must be a list of at least {least} points")
     out = []
     for p in obj:
         if not isinstance(p, list) or len(p) != 2:
@@ -104,18 +104,14 @@ def read_instance(fp: str) -> dict:
     dom = raw["domain"]
     if not isinstance(dom, dict) or "outer" not in dom:
         raise ParseError(f"{fp}: domain needs an \"outer\" ring")
-    outer = _parse_ring(dom["outer"], "outer ring")
-    holes = [
-        _parse_ring(h, f"hole {i}") for i, h in enumerate(dom.get("holes", []))
-    ]
+    outer = _parse_points(dom["outer"], "outer ring", 3)
+    holes = dom.get("holes", [])
+    if not isinstance(holes, list):
+        raise ParseError(f"{fp}: \"holes\" must be a list of rings")
+    holes = [_parse_points(h, f"hole {i}", 3) for i, h in enumerate(holes)]
     path = None
     if raw.get("path") is not None:
-        pp = raw["path"]
-        if not isinstance(pp, list) or len(pp) < 2:
-            raise ParseError(f"{fp}: path must list at least 2 points")
-        path = PathPoly(
-            [Pt(parse_coord(p[0]), parse_coord(p[1])) for p in pp]
-        )
+        path = PathPoly(_parse_points(raw["path"], f"{fp}: path", 2))
     return {
         "name": raw.get("name", os.path.basename(fp)),
         "seed": raw.get("seed", 0),
@@ -408,16 +404,9 @@ def _cmd_homotopic(args) -> int:
         for v in rep.violations:
             print(f"domain: {v}")
         return 1
-    err = None
-    for seed in range(3):
-        try:
-            tri = triangulate(da, seed=seed)
-            ans = homotopic(a["path"], b["path"], tri)
-            print("homotopic" if ans else "not homotopic")
-            return 0
-        except NotGeneralPosition as e:
-            err = e
-    raise NonTerminating(f"no general-position triangulation: {err}")
+    tri = general_position_triangulation(da, [a["path"], b["path"]])[0]
+    print("homotopic" if homotopic(a["path"], b["path"], tri) else "not homotopic")
+    return 0
 
 
 def _cmd_len(args) -> int:

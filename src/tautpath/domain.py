@@ -313,12 +313,6 @@ class Triangulation:
     def edge_pts(self, key):
         return (self.verts[key[0]], self.verts[key[1]])
 
-    def other_tri(self, key, ti):
-        owners = self.edge_tris[key]
-        if len(owners) != 2:
-            raise TriangulationError("edge has no second triangle")
-        return owners[0] if owners[1] == ti else owners[1]
-
     def tri_containing(self, p: Pt):
         """Triangles whose closed region contains p."""
         out = []

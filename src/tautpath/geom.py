@@ -12,7 +12,7 @@ from fractions import Fraction
 
 try:
     from gmpy2 import mpq as _mpq
-except ImportError:  # pragma: no cover - gmpy2 is a hard dependency
+except ImportError:  # gmpy2 is optional; Fraction gives the same exact results
     _mpq = Fraction
 
 RAT_ZERO = _mpq(0)
@@ -57,9 +57,6 @@ class Pt:
 
     def __eq__(self, o):
         return isinstance(o, Pt) and self.x == o.x and self.y == o.y
-
-    def __ne__(self, o):
-        return not self.__eq__(o)
 
     def __hash__(self):
         return hash((self.x, self.y))

@@ -11,6 +11,7 @@ that touch the boundary are compared via a small inward pushoff.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Optional
@@ -41,6 +42,10 @@ class NotGeneralPosition(Exception):
 
 class EndpointMismatch(Exception):
     pass
+
+
+class InvalidPath(Exception):
+    """Input path or domain fails validation."""
 
 
 class WordError(Exception):
@@ -356,13 +361,22 @@ def canonical_class_key(word: CrossingWord, tri: Triangulation, p: Pt, q: Pt):
     return (start, reduce_word(letters))
 
 
+def _strict_form(path: PathPoly, d: PolygonalDomain, tri: Triangulation):
+    """(strict form, raw crossing word): the path itself when it lies in
+    the open domain, else its pushoff.  Raises InvalidPath when the path
+    leaves the closed domain."""
+    strict = PathPoly(path.vertices, closure=False)
+    if validate_path(strict, d).ok:
+        return strict, crossing_word(strict, tri)
+    rep = validate_path(PathPoly(path.vertices, closure=True), d)
+    if not rep.ok:
+        raise InvalidPath("path: " + "; ".join(rep.violations))
+    return _pushoff_word(path, d, tri)
+
+
 def word_of(path: PathPoly, tri: Triangulation) -> CrossingWord:
     """Crossing word of a path; closure members are pushed inward first."""
-    d = tri.domain
-    if validate_path(PathPoly(path.vertices, closure=False), d).ok:
-        return crossing_word(PathPoly(path.vertices, closure=False), tri)
-    strict = pushoff(path, d, tri=tri)
-    return crossing_word(strict, tri)
+    return _strict_form(path, tri.domain, tri)[1]
 
 
 def homotopic(p1: PathPoly, p2: PathPoly, tri: Triangulation) -> bool:
@@ -376,21 +390,19 @@ def homotopic(p1: PathPoly, p2: PathPoly, tri: Triangulation) -> bool:
 
 
 def general_position_triangulation(d: PolygonalDomain, paths, tries: int = 3):
-    """Triangulation for which every given strict path has a crossing
-    word; perturbs the bridging/ear seed between attempts."""
+    """(tri, strict forms, raw words) for the first bridging/ear seed under
+    which every path's strict form (see `word_of`) has a crossing word.
+    This is the one place that retries triangulation seeds; a path that
+    leaves the closed domain raises InvalidPath without a retry."""
     err = None
     for seed in range(tries):
         try:
             tri = triangulate(d, seed=seed)
-        except TriangulationError as e:
+            forms = [_strict_form(p, d, tri) for p in paths]
+        except (TriangulationError, NotGeneralPosition) as e:
             err = e
             continue
-        try:
-            for p in paths:
-                crossing_word(p, tri)
-            return tri
-        except NotGeneralPosition as e:
-            err = e
+        return tri, [f for f, _ in forms], [w for _, w in forms]
     raise NotGeneralPosition(f"no general-position triangulation in {tries} tries: {err}")
 
 
@@ -456,11 +468,6 @@ class LiftedChord:
     def span_at(self, pos):
         return self.spans[pos - self.start_pos]
 
-    def t_range(self):
-        lo = min(s[0] for s in self.spans)
-        hi = max(s[1] for s in self.spans)
-        return lo, hi
-
     def __repr__(self):
         return f"LiftedChord(pos {self.start_pos}..{self.end_pos})"
 
@@ -522,15 +529,6 @@ class SleevePath:
         self.pos = list(pos)
         self._win: dict = {}
 
-    def as_path(self) -> PathPoly:
-        pts = [self.verts[0]]
-        for p in self.verts[1:]:
-            if p != pts[-1]:
-                pts.append(p)
-        if len(pts) == 1:
-            pts = [pts[0], pts[0]]
-        return PathPoly(pts, closure=True)
-
     def edge_portal_windows(self, i):
         """For edge i, the closed parameter window [inf, sup] of its
         contact with each crossed portal, keyed by portal index.
@@ -564,11 +562,6 @@ class SleevePath:
                 out[k] = (t, t)
         self._win[i] = out
         return out
-
-    def length(self) -> float:
-        from .geom import polyline_length
-
-        return polyline_length(self.verts)
 
     def __repr__(self):
         return f"SleevePath({len(self.verts)} verts over {len(self.sleeve)} copies)"
@@ -690,12 +683,12 @@ def pushoff(path: PathPoly, d: PolygonalDomain, tri: Optional[Triangulation] = N
     class closure.  When `tri` is given the result is retried until it is
     in general position for it.
     """
-    return _pushoff_full(path, d, tri)[0]
+    return _pushoff_word(path, d, tri)[0]
 
 
-def _pushoff_full(path: PathPoly, d: PolygonalDomain, tri: Optional[Triangulation] = None):
-    """(pushed strict path, contact-augmented original vertices); the two
-    lists correspond index by index."""
+def _with_contacts(path: PathPoly, d: PolygonalDomain) -> list:
+    """The path's vertices with every boundary contact inserted; pushoff
+    moves these points index by index."""
     pts = [path.vertices[0]]
     contacts = boundary_contact_params(path, d)
     for i in range(len(path.vertices) - 1):
@@ -706,8 +699,13 @@ def _pushoff_full(path: PathPoly, d: PolygonalDomain, tri: Optional[Triangulatio
                 pts.append(p)
         if b != pts[-1]:
             pts.append(b)
-    import math
+    return pts
 
+
+def _pushoff_word(path: PathPoly, d: PolygonalDomain, tri: Optional[Triangulation] = None):
+    """(pushed strict path, its raw crossing word under `tri`, or None
+    without one)."""
+    pts = _with_contacts(path, d)
     fs = float(d.feature_size2())
     cl = _clearance2(path, d)
     eps_f = math.sqrt(fs) / 4
@@ -747,10 +745,11 @@ def _pushoff_full(path: PathPoly, d: PolygonalDomain, tri: Optional[Triangulatio
         cand = PathPoly(moved, closure=False)
         if not validate_path(cand, d).ok:
             continue
+        word = None
         if tri is not None:
             try:
-                crossing_word(cand, tri)
+                word = crossing_word(cand, tri)
             except NotGeneralPosition:
                 continue
-        return cand, pts
+        return cand, word
     raise NotGeneralPosition("pushoff failed to find a strict representative")

@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .domain import PolygonalDomain, Triangulation, triangulate, validate, TriangulationError
+from .domain import PolygonalDomain, Triangulation, validate
 from .geom import (
     LineSpec,
     Pt,
@@ -37,22 +37,18 @@ from .geom import (
 )
 from .homotopy import (
     CrossingWord,
-    NotGeneralPosition,
+    InvalidPath,
     PathPoly,
     Sleeve,
     SleevePath,
     WordError,
     build_sleeve,
     crossing_word,
+    general_position_triangulation,
     line_lifts,
-    reduce_word,
     validate_path,
 )
-from .homotopy import _pushoff_full
-
-
-class InvalidPath(Exception):
-    """Input path or domain fails validation."""
+from .homotopy import _strict_form, _with_contacts
 
 
 class ChordMismatch(Exception):
@@ -381,17 +377,12 @@ def _snip_spur(path: PathPoly, word: CrossingWord, i: int) -> PathPoly:
     return PathPoly(out, closure=False)
 
 
-def _remove_spurs(path: PathPoly, tri: Triangulation, moves=None, trace=None):
-    """Shorten the path until its raw crossing word is freely reduced."""
+def _remove_spurs(path: PathPoly, word: CrossingWord, tri: Triangulation, moves=None, trace=None):
+    """Shorten the path, whose raw crossing word is `word`, until that word
+    is freely reduced."""
+    limit = len(word.letters) // 2 + 2
     guard = 0
-    limit = None
-    while True:
-        word = crossing_word(path, tri)
-        if limit is None:
-            limit = len(word.letters) // 2 + 2
-        i = _first_cancelling(word.letters)
-        if i is None:
-            return path, word
+    while (i := _first_cancelling(word.letters)) is not None:
         guard += 1
         if guard > limit:
             raise NonTerminating("spur removal failed to reduce the word")
@@ -400,6 +391,8 @@ def _remove_spurs(path: PathPoly, tri: Triangulation, moves=None, trace=None):
             moves.append(Move("spur", None, -1, None, None, list(path.vertices), None))
         if trace is not None:
             trace.append(polyline_length(path.vertices))
+        word = crossing_word(path, tri)
+    return path, word
 
 
 def _positions_from_records(word: CrossingWord, nverts: int):
@@ -423,38 +416,12 @@ def tighten(path, domain: PolygonalDomain, options: Optional[TightenOptions] = N
     rep = validate(domain)
     if not rep.ok:
         raise InvalidPath("domain: " + "; ".join(rep.violations))
-    strict_ok = validate_path(PathPoly(p.vertices, closure=False), domain).ok
-    if not strict_ok:
-        crep = validate_path(PathPoly(p.vertices, closure=True), domain)
-        if not crep.ok:
-            raise InvalidPath("path: " + "; ".join(crep.violations))
-
-    tri = None
-    strict_p = None
-    err = None
-    for seed in range(3):
-        try:
-            cand = triangulate(domain, seed=seed)
-        except TriangulationError as e:
-            err = e
-            continue
-        try:
-            sp = (
-                PathPoly(p.vertices, closure=False)
-                if strict_ok
-                else _pushoff_full(PathPoly(p.vertices, closure=True), domain, cand)[0]
-            )
-            crossing_word(sp, cand)
-            tri, strict_p = cand, sp
-            break
-        except NotGeneralPosition as e:
-            err = e
-    if tri is None:
-        raise NotGeneralPosition(f"no usable triangulation: {err}")
+    # the chooser raises InvalidPath for a path that leaves the domain
+    tri, (strict_p,), (word,) = general_position_triangulation(domain, [p])
 
     moves: list = []
     trace = [polyline_length(strict_p.vertices)]
-    strict_p, word = _remove_spurs(strict_p, tri, moves, trace)
+    strict_p, word = _remove_spurs(strict_p, word, tri, moves, trace)
     sleeve = build_sleeve(word, tri)
     pos = _positions_from_records(word, len(strict_p.vertices))
     spath = SleevePath(sleeve, list(strict_p.vertices), pos)
@@ -588,38 +555,27 @@ def _position_closure_path(pts, sleeve: Sleeve):
 def _as_sleeve_path(path: PathPoly, d: PolygonalDomain, tri: Optional[Triangulation] = None):
     """(sleeve, sleeve path) for an arbitrary valid path, rebuilding the
     class data from scratch."""
-    p = PathPoly(path.vertices, closure=path.closure)
-    err = None
-    seeds = [None] if tri is not None else [0, 1, 2]
-    for s in seeds:
-        try:
-            T = tri if s is None else triangulate(d, seed=s)
-        except TriangulationError as e:
-            err = e
-            continue
-        try:
-            if validate_path(PathPoly(p.vertices, closure=False), d).ok:
-                strict_p = PathPoly(p.vertices, closure=False)
-                real = list(p.vertices)
-            else:
-                strict_p, real = _pushoff_full(PathPoly(p.vertices, closure=True), d, T)
-            strict_p, word = _remove_spurs(strict_p, T)
-            sleeve = build_sleeve(word, T)
-            if real is not None and len(real) >= 2:
-                rpos = _position_closure_path(real, sleeve)
-                if rpos is not None:
-                    sp = SleevePath(sleeve, real, rpos)
-                    try:
-                        for i in range(len(sp.verts) - 1):
-                            sp.edge_portal_windows(i)
-                        return sleeve, sp
-                    except WordError:
-                        pass
-            pos = _positions_from_records(word, len(strict_p.vertices))
-            return sleeve, SleevePath(sleeve, list(strict_p.vertices), pos)
-        except (NotGeneralPosition, WordError) as e:
-            err = e
-    raise NotGeneralPosition(f"cannot place the path in a sleeve: {err}")
+    if tri is None:
+        tri, (strict_p,), (word,) = general_position_triangulation(d, [path])
+    else:
+        strict_p, word = _strict_form(path, d, tri)
+    # prefer the path as given, with its boundary contacts as vertices; the
+    # strict form differs from the given path exactly when it was pushed off
+    real = list(path.vertices) if strict_p.vertices == path.vertices else _with_contacts(path, d)
+    strict_p, word = _remove_spurs(strict_p, word, tri)
+    sleeve = build_sleeve(word, tri)
+    if len(real) >= 2:
+        rpos = _position_closure_path(real, sleeve)
+        if rpos is not None:
+            sp = SleevePath(sleeve, real, rpos)
+            try:
+                for i in range(len(sp.verts) - 1):
+                    sp.edge_portal_windows(i)
+                return sleeve, sp
+            except WordError:
+                pass
+    pos = _positions_from_records(word, len(strict_p.vertices))
+    return sleeve, SleevePath(sleeve, list(strict_p.vertices), pos)
 
 
 def _taut_vertex_violations(pts, d: PolygonalDomain):

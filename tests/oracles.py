@@ -28,7 +28,7 @@ def vg_shortest_in_class(d, path: PathPoly, tri=None):
     (vertices, length).  Only single-visit walks are searched, which
     covers every class whose taut form does not rewrap a corner."""
     if tri is None:
-        tri = general_position_triangulation(d, [path])
+        tri = general_position_triangulation(d, [path])[0]
     target = _class_key(path, tri)
     p, q = path.start, path.end
 

@@ -419,7 +419,7 @@ def test_criterion_8_tight_beats_samples():
         rng = random.Random(7500 + s)
         for _ in range(20):
             samp = _excursion(d, path.start, path.end, rng)
-            tri = general_position_triangulation(d, [rep.path, samp])
+            tri = general_position_triangulation(d, [rep.path, samp])[0]
             assert homotopic(rep.path, samp, tri)
             ls = path_len(subdivide(samp, 0.04), k_max=6, refine=0)
             assert lt.upper < ls.value

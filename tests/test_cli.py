@@ -119,11 +119,22 @@ def test_validate_flags_bad_path(tmp_path, capsys):
     assert "invalid" in capsys.readouterr().out
 
 
+_SQUARE = '[["-5", "-5"], ["5", "-5"], ["5", "5"], ["-5", "5"]]'
+MALFORMED = [
+    '{"domain": {"outer": [["0", "0"]',
+    '{"domain": {"outer": [[Infinity, 0], [1, 0], [0, 1]]}}',
+    '{"domain": {"outer": %s}, "path": [[1, 1], 5]}' % _SQUARE,
+    '{"domain": {"outer": %s}, "path": [[1, 1], [2]]}' % _SQUARE,
+    '{"domain": {"outer": %s, "holes": 5}}' % _SQUARE,
+]
+
+
 def test_validate_parse_error(tmp_path, capsys):
     fp = tmp_path / "broken.json"
-    fp.write_text('{"domain": {"outer": [["0", "0"]')
-    assert main(["validate", str(fp)]) == 1
-    assert "error:" in capsys.readouterr().err
+    for text in MALFORMED:
+        fp.write_text(text)
+        assert main(["validate", str(fp)]) == 1, text
+        assert "error:" in capsys.readouterr().err, text
 
 
 def test_missing_file(tmp_path, capsys):
@@ -205,6 +216,21 @@ def test_homotopic_distinguishes_classes(tmp_path, capsys):
     under = write_d1(tmp_path, "under.json", path=[["-3", "0"], ["0", "-3"], ["3", "0"]])
     assert main(["homotopic", over, under]) == 0
     assert "not homotopic" in capsys.readouterr().out
+
+
+def test_homotopic_after_seed_fallback(tmp_path, capsys):
+    # under seeds 0 and 1 the start has a vertex on an interior edge
+    start = write_d1(tmp_path, "start.json", path=[["-4", "-3"], ["0", "-3"], ["3", "2"]])
+    taut = write_d1(tmp_path, "taut.json", path=[["-4", "-3"], ["1", "-1"], ["3", "2"]])
+    assert main(["homotopic", start, taut]) == 0
+    assert capsys.readouterr().out.strip() == "homotopic"
+
+
+def test_homotopic_rejects_path_through_hole(tmp_path, capsys):
+    over = write_d1(tmp_path, "over.json")
+    through = write_d1(tmp_path, "through.json", path=[["-3", "0"], ["3", "0"]])
+    assert main(["homotopic", over, through]) == 1
+    assert "error: path:" in capsys.readouterr().err
 
 
 def test_homotopic_needs_matching_domains(tmp_path, capsys):

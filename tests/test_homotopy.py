@@ -231,6 +231,14 @@ def test_word_of_handles_closure_members(d1_tri):
 
 
 def test_general_position_triangulation_usable(d1, over_path, under_path):
-    tri = general_position_triangulation(d1, [over_path, under_path])
-    assert crossing_word(over_path, tri) is not None
-    assert crossing_word(under_path, tri) is not None
+    tri, forms, words = general_position_triangulation(d1, [over_path, under_path])
+    assert forms == [over_path, under_path]
+    assert words[0].letters == crossing_word(over_path, tri).letters
+    assert words[1].letters == crossing_word(under_path, tri).letters
+
+
+def test_general_position_triangulation_pushes_off_closure_paths(d1):
+    touch = PathPoly(GOLDEN_OVER, closure=True)
+    tri, (form,), (word,) = general_position_triangulation(d1, [touch])
+    assert form == pushoff(touch, d1, tri=tri)
+    assert word.letters == crossing_word(form, tri).letters

@@ -216,6 +216,35 @@ def test_straight_segment_needs_no_moves(d1):
     assert rep.moves == []
 
 
+# --- triangulation seed fallback ---
+
+# the middle vertex lies on an interior edge under seeds 0 and 1
+SEED2_PATH = [(-4, -3), (0, -3), (3, 2)]
+# general position under none of the three seeds
+NO_SEED_PATH = [(-3, -2), (-2, 3), (3, 3), (3, -2)]
+
+
+def test_tighten_falls_back_to_a_later_seed(d1):
+    from tautpath.domain import triangulate
+    from tautpath.homotopy import NotGeneralPosition, crossing_word
+
+    p = PathPoly(SEED2_PATH)
+    for seed in (0, 1):
+        with pytest.raises(NotGeneralPosition):
+            crossing_word(p, triangulate(d1, seed=seed))
+    rep = tighten(p, d1, TightenOptions(certify_lines=200))
+    assert rep.path.vertices == as_pts([(-4, -3), (1, -1), (3, 2)])
+    assert rep.certificate.ok
+    assert funnel_shortest(rep.sleeve, p.start, p.end) == rep.path.vertices
+    # without a triangulation the certificate picks its own seed
+    assert certify_efficient(rep.path, d1, lines=200).ok
+
+
+@pytest.mark.xfail(strict=True, reason="no triangulation seed puts this path in general position")
+def test_tighten_path_in_no_general_position(d1):
+    tighten(PathPoly(NO_SEED_PATH), d1)
+
+
 # --- replay ---
 
 
