@@ -15,9 +15,6 @@ try:
 except ImportError:  # gmpy2 is optional; Fraction gives the same exact results
     _mpq = Fraction
 
-RAT_ZERO = _mpq(0)
-RAT_ONE = _mpq(1)
-
 
 def rat(v):
     """Coerce ints, Fractions, floats and decimal strings to the exact scalar."""
@@ -37,13 +34,19 @@ class GeomError(Exception):
 
 
 class Pt:
-    """Exact point (doubles as a vector)."""
+    """Exact point (doubles as a vector).  `fx`, `fy` are the nearest
+    floats of the coordinates, read only by the float filters in `orient`
+    and `segments_intersect`."""
 
-    __slots__ = ("x", "y")
+    __slots__ = ("x", "y", "fx", "fy")
 
     def __init__(self, x, y):
         self.x = rat(x)
         self.y = rat(y)
+        try:
+            self.fx, self.fy = float(self.x), float(self.y)
+        except OverflowError:  # NaN sends every float filter to the exact test
+            self.fx = self.fy = math.nan
 
     def __add__(self, o):
         return Pt(self.x + o.x, self.y + o.y)
@@ -76,9 +79,39 @@ def dot(u: Pt, v: Pt):
     return u.x * v.x + u.y * v.y
 
 
+def _homog(p: Pt):
+    """Integers (X, Y, W), W > 0, with p = (X/W, Y/W)."""
+    x, y = p.x, p.y
+    dx, dy = int(x.denominator), int(y.denominator)
+    if dx == dy:
+        return int(x.numerator), int(y.numerator), dx
+    w = dx * dy // math.gcd(dx, dy)
+    return int(x.numerator) * (w // dx), int(y.numerator) * (w // dy), w
+
+
+# Float filter for `orient`: with u = 2**-53 and M the largest coordinate
+# magnitude, the float determinant is off by at most about 48uM**2, so
+# 64uM**2 decides safely; the absolute term covers subnormals, and
+# magnitudes from 1e100 up, whose products could overflow, go exact.
+_ORIENT_REL, _ORIENT_ABS = 64 * 2.0**-53, 1e-290
+
+
 def orient(a: Pt, b: Pt, c: Pt) -> int:
     """Sign of the signed area of triangle a, b, c (+1 = c left of a->b)."""
-    v = (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
+    ax, ay = a.fx, a.fy
+    m = max(abs(ax), abs(ay), abs(b.fx), abs(b.fy), abs(c.fx), abs(c.fy))
+    if m < 1e100:
+        det = (b.fx - ax) * (c.fy - ay) - (b.fy - ay) * (c.fx - ax)
+        bound = _ORIENT_REL * m * m + _ORIENT_ABS
+        if det > bound:
+            return 1
+        if det < -bound:
+            return -1
+    # exact: the homogeneous determinant, whose W's are all positive
+    xa, ya, wa = _homog(a)
+    xb, yb, wb = _homog(b)
+    xc, yc, wc = _homog(c)
+    v = xa * (yb * wc - wb * yc) - ya * (xb * wc - wb * xc) + wa * (xb * yc - yb * xc)
     if v > 0:
         return 1
     if v < 0:
@@ -146,6 +179,11 @@ def segments_intersect(s: Segment, t: Segment):
       ("overlap", Segment) collinear overlap of positive length
     """
     a, b, c, d = s.a, s.b, t.a, t.b
+    # rounding to floats keeps order, so disjoint float boxes are disjoint
+    if max(a.fx, b.fx) < min(c.fx, d.fx) or max(c.fx, d.fx) < min(a.fx, b.fx):
+        return ("disjoint", None)
+    if max(a.fy, b.fy) < min(c.fy, d.fy) or max(c.fy, d.fy) < min(a.fy, b.fy):
+        return ("disjoint", None)
     if a == b or c == d:
         # degenerate segments behave as points
         if a == b and c == d:
@@ -198,28 +236,21 @@ class LineSpec:
     and hash equal regardless of how they were specified.
     """
 
-    __slots__ = ("anchor", "direction", "key")
+    __slots__ = ("anchor", "direction", "tip", "key", "_frame")
 
     def __init__(self, anchor: Pt, direction: Pt):
         if direction.x == 0 and direction.y == 0:
             raise GeomError("zero direction")
         self.anchor = anchor
         self.direction = direction
-        a = direction.y
-        b = -direction.x
-        c = a * anchor.x + b * anchor.y
-        an, ad = a.numerator, a.denominator
-        bn, bd = b.numerator, b.denominator
-        cn, cd = c.numerator, c.denominator
-        m = int(ad)
-        m = m * int(bd) // math.gcd(m, int(bd))
-        m = m * int(cd) // math.gcd(m, int(cd))
-        ai = int(an) * (m // int(ad))
-        bi = int(bn) * (m // int(bd))
-        ci = int(cn) * (m // int(cd))
-        g = math.gcd(math.gcd(abs(ai), abs(bi)), abs(ci))
-        if g:
-            ai, bi, ci = ai // g, bi // g, ci // g
+        self.tip = anchor + direction
+        self._frame = None
+        # (A, B, C) is proportional to (u.y, -u.x, u.y*o.x - u.x*o.y)
+        x, y, w = _homog(anchor)
+        dx, dy, _ = _homog(direction)
+        ai, bi, ci = dy * w, -dx * w, dy * x - dx * y
+        g = math.gcd(ai, bi, ci)
+        ai, bi, ci = ai // g, bi // g, ci // g
         if ai < 0 or (ai == 0 and bi < 0):
             ai, bi, ci = -ai, -bi, -ci
         self.key = (ai, bi, ci)
@@ -246,13 +277,34 @@ class LineSpec:
 
 def line_side(line: LineSpec, p: Pt) -> int:
     """+1 left of the direction, -1 right, 0 on the line."""
-    return orient(line.anchor, line.anchor + line.direction, p)
+    return orient(line.anchor, line.tip, p)
+
+
+def _line_frame(line: LineSpec):
+    """Integers (A, B, C, g0n, g0d, sn, sd) for exact line parameters.  The
+    key A*x + B*y = C gives direction (-B, A) / lam, so a point p projects
+    to parameter lam * (g(p) - g(anchor)) / (A**2 + B**2) with
+    g(p) = A*p.y - B*p.x, g(anchor) = g0n / g0d, lam / (A**2 + B**2) = sn / sd."""
+    if line._frame is None:
+        A, B, C = line.key
+        u, o = line.direction, line.anchor
+        lam = rat(-B) / u.x if u.x != 0 else rat(A) / u.y
+        g0, sc = A * o.y - B * o.x, lam / (A * A + B * B)
+        line._frame = (A, B, C, g0.numerator, g0.denominator, sc.numerator, sc.denominator)
+    return line._frame
+
+
+def _param_of_g(fr, gn, gd):
+    """Line parameter of a point whose g (see `_line_frame`) is gn / gd."""
+    _, _, _, g0n, g0d, sn, sd = fr
+    return _mpq((gn * g0d - g0n * gd) * sn, gd * g0d * sd)
 
 
 def line_param(line: LineSpec, p: Pt):
     """Parameter t with anchor + t*direction = projection of p (exact for p on the line)."""
-    d = line.direction
-    return dot(p - line.anchor, d) / dot(d, d)
+    x, y, w = _homog(p)
+    fr = _line_frame(line)
+    return _param_of_g(fr, fr[0] * y - fr[1] * x, w)
 
 
 def line_point(line: LineSpec, t) -> Pt:
@@ -278,10 +330,13 @@ def line_hits_segment(line: LineSpec, a: Pt, b: Pt):
         return ("pt", b)
     if (sa > 0) == (sb > 0):
         return None
-    u = line.direction
-    ca = cross(u, a - line.anchor)
-    cb = cross(u, b - line.anchor)
-    return ("pt", lerp(a, b, ca / (ca - cb)))
+    A, B, C = line.key
+    xa, ya, wa = _homog(a)
+    xb, yb, wb = _homog(b)
+    # the residual of A*x + B*y = C is affine along the segment
+    fa, fb = A * xa + B * ya - C * wa, A * xb + B * yb - C * wb
+    den = fa * wb - fb * wa
+    return ("pt", Pt(_mpq(fa * xb - fb * xa, den), _mpq(fa * yb - fb * ya, den)))
 
 
 def clip_line_to_triangle(line: LineSpec, tri_pts):
@@ -290,18 +345,20 @@ def clip_line_to_triangle(line: LineSpec, tri_pts):
     Returns (t0, t1) line parameters with t0 <= t1 (t0 == t1 for a corner
     touch), or None when the line misses the triangle.
     """
-    ts = []
-    for i in range(3):
-        hit = line_hits_segment(line, tri_pts[i], tri_pts[(i + 1) % 3])
-        if hit is None:
-            continue
-        if hit[0] == "pt":
-            ts.append(line_param(line, hit[1]))
-        else:
-            ts.append(line_param(line, hit[1]))
-            ts.append(line_param(line, hit[2]))
-    if not ts:
+    sides = [line_side(line, p) for p in tri_pts]
+    if sides[0] == sides[1] == sides[2] != 0:
         return None
+    fr = _line_frame(line)
+    A, B, C = line.key
+    hs = [_homog(p) for p in tri_pts]
+    fs = [A * x + B * y - C * w for x, y, w in hs]  # residuals times w
+    gs = [A * y - B * x for x, y, w in hs]
+    ts = [_param_of_g(fr, gs[i], hs[i][2]) for i in range(3) if sides[i] == 0]
+    for i, j in ((0, 1), (1, 2), (2, 0)):
+        if sides[i] * sides[j] < 0:
+            # g is affine along the edge; take it where the residual is 0
+            gn, gd = fs[i] * gs[j] - fs[j] * gs[i], fs[i] * hs[j][2] - fs[j] * hs[i][2]
+            ts.append(_param_of_g(fr, gn, gd))
     return (min(ts), max(ts))
 
 

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .domain import PolygonalDomain, Triangulation, ValidationReport, locate, triangulate, TriangulationError
+from .domain import PolygonalDomain, Triangulation, ValidationReport, locate, triangulate, TriangulationError, validate
 from .geom import (
     LineSpec,
     Pt,
@@ -25,7 +25,7 @@ from .geom import (
     cross,
     dist2,
     lerp,
-    line_hits_segment,
+    line_side,
     on_segment,
     orient,
     point_in_triangle,
@@ -361,22 +361,29 @@ def canonical_class_key(word: CrossingWord, tri: Triangulation, p: Pt, q: Pt):
     return (start, reduce_word(letters))
 
 
-def _strict_form(path: PathPoly, d: PolygonalDomain, tri: Triangulation):
-    """(strict form, raw crossing word): the path itself when it lies in
-    the open domain, else its pushoff.  Raises InvalidPath when the path
-    leaves the closed domain."""
-    strict = PathPoly(path.vertices, closure=False)
-    if validate_path(strict, d).ok:
-        return strict, crossing_word(strict, tri)
+def _is_strict(path: PathPoly, d: PolygonalDomain) -> bool:
+    """True when the path lies in the open domain, False when it touches
+    the boundary.  Raises InvalidPath when it leaves the closed domain."""
+    if validate_path(PathPoly(path.vertices, closure=False), d).ok:
+        return True
     rep = validate_path(PathPoly(path.vertices, closure=True), d)
     if not rep.ok:
         raise InvalidPath("path: " + "; ".join(rep.violations))
+    return False
+
+
+def _strict_form(path: PathPoly, d: PolygonalDomain, tri: Triangulation, strict: bool):
+    """(strict form, raw crossing word): the path itself when `strict`
+    (see `_is_strict`), else its pushoff."""
+    if strict:
+        form = PathPoly(path.vertices, closure=False)
+        return form, crossing_word(form, tri)
     return _pushoff_word(path, d, tri)
 
 
 def word_of(path: PathPoly, tri: Triangulation) -> CrossingWord:
     """Crossing word of a path; closure members are pushed inward first."""
-    return _strict_form(path, tri.domain, tri)[1]
+    return _strict_form(path, tri.domain, tri, _is_strict(path, tri.domain))[1]
 
 
 def homotopic(p1: PathPoly, p2: PathPoly, tri: Triangulation) -> bool:
@@ -389,21 +396,26 @@ def homotopic(p1: PathPoly, p2: PathPoly, tri: Triangulation) -> bool:
     return k1 == k2
 
 
-def general_position_triangulation(d: PolygonalDomain, paths, tries: int = 3):
-    """(tri, strict forms, raw words) for the first bridging/ear seed under
-    which every path's strict form (see `word_of`) has a crossing word.
-    This is the one place that retries triangulation seeds; a path that
-    leaves the closed domain raises InvalidPath without a retry."""
+def general_position_triangulation(d: PolygonalDomain, paths):
+    """(tri, strict forms, raw words) for the first of three bridging/ear
+    seeds under which every path's strict form (see `word_of`) has a
+    crossing word.  This is the one place that retries triangulation
+    seeds.  An invalid domain, or a path that leaves the closed domain,
+    raises InvalidPath before any seed is tried."""
+    rep = validate(d)
+    if not rep.ok:
+        raise InvalidPath("domain: " + "; ".join(rep.violations))
+    regimes = [_is_strict(p, d) for p in paths]
     err = None
-    for seed in range(tries):
+    for seed in range(3):
         try:
             tri = triangulate(d, seed=seed)
-            forms = [_strict_form(p, d, tri) for p in paths]
+            forms = [_strict_form(p, d, tri, s) for p, s in zip(paths, regimes)]
         except (TriangulationError, NotGeneralPosition) as e:
             err = e
             continue
         return tri, [f for f, _ in forms], [w for _, w in forms]
-    raise NotGeneralPosition(f"no general-position triangulation in {tries} tries: {err}")
+    raise NotGeneralPosition(f"no general-position triangulation in 3 tries: {err}")
 
 
 class Sleeve:
@@ -452,67 +464,52 @@ def build_sleeve(word: CrossingWord, tri: Triangulation) -> Sleeve:
 class LiftedChord:
     """One maximal connected piece of a line's preimage inside a sleeve.
 
-    `spans[j]` is the closed line-parameter interval the piece occupies in
-    sleeve copy `start_pos + j`; consecutive spans share the parameter of
-    the portal they cross.
+    `span_at(pos)` is the closed line-parameter interval the piece occupies
+    in sleeve copy `pos`; consecutive spans share the parameter of the
+    portal they cross.  A span is clipped when it is first asked for.
     """
 
-    __slots__ = ("line", "start_pos", "end_pos", "spans")
+    __slots__ = ("line", "sleeve", "start_pos", "end_pos", "_spans")
 
-    def __init__(self, line: LineSpec, start_pos: int, spans):
+    def __init__(self, line: LineSpec, sleeve: Sleeve, start_pos: int, end_pos: int):
         self.line = line
+        self.sleeve = sleeve
         self.start_pos = start_pos
-        self.end_pos = start_pos + len(spans) - 1
-        self.spans = spans
+        self.end_pos = end_pos
+        self._spans = {}
 
     def span_at(self, pos):
-        return self.spans[pos - self.start_pos]
+        got = self._spans.get(pos)
+        if got is None:
+            got = self._spans[pos] = clip_line_to_triangle(self.line, self.sleeve.tri_pts(pos))
+        return got
 
     def __repr__(self):
         return f"LiftedChord(pos {self.start_pos}..{self.end_pos})"
 
 
-def line_lifts(line: LineSpec, sleeve: Sleeve, d: Optional[PolygonalDomain] = None):
+def _line_meets(line: LineSpec, a: Pt, b: Pt) -> bool:
+    """The line meets the closed segment [a, b]."""
+    return line_side(line, a) * line_side(line, b) <= 0
+
+
+def line_lifts(line: LineSpec, sleeve: Sleeve):
     """All maximal connected pieces of the line's preimage in the sleeve."""
     n = len(sleeve.tri_seq)
-    ax, ay = line.anchor.as_floats()
-    dx, dy = line.direction.as_floats()
-
-    def clearly_misses(tp):
-        # float screen; margin covers rounding, so a miss verdict is exact
-        pos = neg = True
-        for v in tp:
-            px, py = v.as_floats()
-            s = dy * (px - ax) - dx * (py - ay)
-            m = 1e-12 * (abs(dy) * (abs(px) + abs(ax)) + abs(dx) * (abs(py) + abs(ay)))
-            if s <= m:
-                pos = False
-            if s >= -m:
-                neg = False
-            if not (pos or neg):
-                return False
-        return True
-
-    clips = []
+    hits = []
     for j in range(n):
-        tp = sleeve.tri_pts(j)
-        clips.append(None if clearly_misses(tp) else clip_line_to_triangle(line, tp))
+        s0, s1, s2 = (line_side(line, v) for v in sleeve.tri_pts(j))
+        hits.append(not (s0 == s1 == s2 != 0))
     out = []
     j = 0
     while j < n:
-        if clips[j] is None:
+        if not hits[j]:
             j += 1
             continue
         start = j
-        spans = [clips[j]]
-        while (
-            j + 1 < n
-            and clips[j + 1] is not None
-            and line_hits_segment(line, *sleeve.portal_pts[j]) is not None
-        ):
+        while j + 1 < n and hits[j + 1] and _line_meets(line, *sleeve.portal_pts[j]):
             j += 1
-            spans.append(clips[j])
-        out.append(LiftedChord(line, start, spans))
+        out.append(LiftedChord(line, sleeve, start, j))
         j += 1
     return out
 

@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .domain import PolygonalDomain, Triangulation, validate
+from .domain import PolygonalDomain, Triangulation
 from .geom import (
     LineSpec,
     Pt,
@@ -48,7 +48,7 @@ from .homotopy import (
     line_lifts,
     validate_path,
 )
-from .homotopy import _strict_form, _with_contacts
+from .homotopy import _is_strict, _strict_form, _with_contacts
 
 
 class ChordMismatch(Exception):
@@ -62,10 +62,7 @@ class NonTerminating(Exception):
 @dataclass
 class TightenOptions:
     certify_lines: int = 0
-    seed: int = 0
-    probe_lines: int = 64  # random lines per adaptive round
-    max_rounds: int = 12
-    budget: Optional[int] = None
+    seed: int = 0  # seeds the certificate's random lines
 
 
 @dataclass
@@ -241,25 +238,10 @@ def replace_move(spath: SleevePath, chord, m1, m2) -> Optional[SleevePath]:
 # ---------------------------------------------------------------- sweep
 
 
-def _line_misses_path(line: LineSpec, vf) -> bool:
-    # conservative float screen: skip a line only when every path vertex
-    # is clearly on one side
-    af, bf, cf = (float(k) for k in line.key)
-    if not (math.isfinite(af) and math.isfinite(bf) and math.isfinite(cf)):
-        return False
-    above = below = False
-    for x, y in vf:
-        v = af * x + bf * y - cf
-        slack = (abs(af * x) + abs(bf * y) + abs(cf) + 1.0) * 4e-12
-        if v > slack:
-            above = True
-        elif v < -slack:
-            below = True
-        else:
-            return False
-        if above and below:
-            return False
-    return True
+def _line_misses_path(line: LineSpec, verts) -> bool:
+    """Every path vertex lies strictly on one side of the line."""
+    first = line_side(line, verts[0])
+    return first != 0 and all(line_side(line, v) == first for v in verts[1:])
 
 
 def _family_lines(tri: Triangulation, extra):
@@ -290,54 +272,28 @@ def _random_lines(d: PolygonalDomain, n: int, seed) -> list:
     return out
 
 
-def _sweep(spath, lines, chord_cache, moves, trace, budget, settled=None):
-    """Process every (line, lifted chord) pair until none has a
-    disconnected meeting set.  Returns (path, whether anything moved).
-
-    `settled` collects (line key, chord index) pairs whose meeting set
-    was seen connected; connectivity persists under later moves, so those
-    pairs are skipped on every subsequent pass."""
+def _sweep(spath, lines, moves, trace, budget):
+    """Visit every lifted chord of every line once, replacing the stretch
+    between its first and last meeting while it meets the path in more
+    than one component.  A connected meeting set stays connected under
+    later moves (two straight chords in a developed sleeve cross at most
+    once), so no chord needs a second visit."""
     sleeve = spath.sleeve
-    if settled is None:
-        settled = set()
-    moved_any = False
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 64:
-            raise NonTerminating("sweep failed to stabilize")
-        moved_pass = False
-        vf = [v.as_floats() for v in spath.verts]
-        for line in lines:
-            if _line_misses_path(line, vf):
-                continue
-            chords = chord_cache.get(line.key)
-            if chords is None:
-                chords = line_lifts(line, sleeve)
-                chord_cache[line.key] = chords
-            for ci, chord in enumerate(chords):
-                if (line.key, ci) in settled:
-                    continue
-                while True:
-                    comps = chord_meeting_components(spath, chord)
-                    if len(comps) <= 1:
-                        settled.add((line.key, ci))
-                        break
-                    m1, m2 = _component_ends(comps)
-                    new = replace_move(spath, chord, m1, m2)
-                    if new is None:
-                        break
-                    spath = new
-                    vf = [v.as_floats() for v in spath.verts]
-                    moved_pass = moved_any = True
-                    trace.append(polyline_length(spath.verts))
-                    moves.append(
-                        Move("chord", line, ci, m1, m2, list(spath.verts), list(spath.pos))
-                    )
-                    if len(moves) > budget:
-                        raise NonTerminating("move budget exceeded")
-        if not moved_pass:
-            return spath, moved_any
+    for line in lines:
+        if _line_misses_path(line, spath.verts):
+            continue
+        for ci, chord in enumerate(line_lifts(line, sleeve)):
+            while len(comps := chord_meeting_components(spath, chord)) > 1:
+                m1, m2 = _component_ends(comps)
+                new = replace_move(spath, chord, m1, m2)
+                if new is None:
+                    break
+                spath = new
+                trace.append(polyline_length(spath.verts))
+                moves.append(Move("chord", line, ci, m1, m2, list(spath.verts), list(spath.pos)))
+                if len(moves) > budget:
+                    raise NonTerminating("move budget exceeded")
+    return spath
 
 
 # ------------------------------------------------------- spur preprocessing
@@ -413,10 +369,8 @@ def tighten(path, domain: PolygonalDomain, options: Optional[TightenOptions] = N
     t0 = time.perf_counter()
     opt = options or TightenOptions()
     p = path if isinstance(path, PathPoly) else PathPoly(path)
-    rep = validate(domain)
-    if not rep.ok:
-        raise InvalidPath("domain: " + "; ".join(rep.violations))
-    # the chooser raises InvalidPath for a path that leaves the domain
+    # the chooser raises InvalidPath for an invalid domain or a path that
+    # leaves it
     tri, (strict_p,), (word,) = general_position_triangulation(domain, [p])
 
     moves: list = []
@@ -427,29 +381,20 @@ def tighten(path, domain: PolygonalDomain, options: Optional[TightenOptions] = N
     spath = SleevePath(sleeve, list(strict_p.vertices), pos)
     replay_base = (list(spath.verts), list(spath.pos))
 
-    budget = opt.budget or (200 + 10 * (len(word.letters) + len(spath.verts)))
-    tier1 = _family_lines(tri, [p.start, p.end])
-    chord_cache: dict = {}
-    settled: set = set()
+    # every round needs new path vertices, which only moves make, so the
+    # move budget also bounds the rounds
+    budget = 200 + 10 * (len(word.letters) + len(spath.verts))
     swept: set = set()
-    spath, _ = _sweep(spath, tier1, chord_cache, moves, trace, budget, settled)
-    swept.update(ln.key for ln in tier1)
+    extra = [p.start, p.end]
     # a two-vertex path is a straight segment; no line can meet it in more
-    # than one component, so probing is pointless
-    if len(spath.verts) > 2:
-        for rnd in range(opt.max_rounds):
-            probes = _family_lines(tri, spath.verts)
-            # once a line's meeting sets are connected they stay connected,
-            # so a swept line never needs a second pass
-            probes = [ln for ln in probes if ln.key not in swept]
-            probes += _random_lines(domain, opt.probe_lines, 1000003 * opt.seed + rnd)
-            spath, moved = _sweep(spath, probes, chord_cache, moves, trace, budget, settled)
-            swept.update(ln.key for ln in probes)
-            if not moved or len(spath.verts) == 2:
-                break
-            spath, _ = _sweep(spath, tier1, chord_cache, moves, trace, budget, settled)
-        else:
-            raise NonTerminating("adaptive line rounds exhausted without a fixpoint")
+    # than one component
+    while len(spath.verts) > 2:
+        lines = [ln for ln in _family_lines(tri, extra) if ln.key not in swept]
+        if not lines:
+            break
+        swept.update(ln.key for ln in lines)
+        spath = _sweep(spath, lines, moves, trace, budget)
+        extra = spath.verts
 
     out_pts = dedupe_collinear(spath.verts)
     if len(out_pts) == 1:
@@ -558,7 +503,7 @@ def _as_sleeve_path(path: PathPoly, d: PolygonalDomain, tri: Optional[Triangulat
     if tri is None:
         tri, (strict_p,), (word,) = general_position_triangulation(d, [path])
     else:
-        strict_p, word = _strict_form(path, d, tri)
+        strict_p, word = _strict_form(path, d, tri, _is_strict(path, d))
     # prefer the path as given, with its boundary contacts as vertices; the
     # strict form differs from the given path exactly when it was pushed off
     real = list(path.vertices) if strict_p.vertices == path.vertices else _with_contacts(path, d)
@@ -628,7 +573,6 @@ def certify_efficient(
     seen = set()
     violations = []
     sampled = 0
-    vf = [v.as_floats() for v in spath.verts]
     for line in fam + rnd:
         if stop_after is not None and len(violations) >= stop_after:
             break
@@ -636,7 +580,7 @@ def certify_efficient(
             continue
         seen.add(line.key)
         sampled += 1
-        if _line_misses_path(line, vf):
+        if _line_misses_path(line, spath.verts):
             continue
         for ci, chord in enumerate(line_lifts(line, sleeve)):
             comps = chord_meeting_components(spath, chord)

@@ -233,6 +233,16 @@ def test_homotopic_rejects_path_through_hole(tmp_path, capsys):
     assert "error: path:" in capsys.readouterr().err
 
 
+def test_homotopic_rejects_invalid_domain(tmp_path, capsys):
+    obj = dict(D1_INSTANCE)
+    obj["domain"] = {"outer": [["0", "0"], ["4", "4"], ["4", "0"], ["0", "4"]], "holes": []}
+    obj["path"] = [["1", "1"], ["2", "1"]]
+    fp = tmp_path / "bowtie.json"
+    fp.write_text(json.dumps(obj))
+    assert main(["homotopic", str(fp), str(fp)]) == 1
+    assert "error: domain:" in capsys.readouterr().err
+
+
 def test_homotopic_needs_matching_domains(tmp_path, capsys):
     a = write_d1(tmp_path, "a.json")
     obj = dict(D1_INSTANCE)

@@ -146,6 +146,56 @@ def test_line_hits_segment_consistent(a, b, c, d):
         assert line_side(ln, hit[1]) == 0 and line_side(ln, hit[2]) == 0
 
 
+def _exact_orient(a, b, c):
+    v = (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
+    return (v > 0) - (v < 0)
+
+
+@given(pts, pts, st.integers(-40, 40), st.integers(-3, 3), st.integers(20, 120))
+@settings(max_examples=300)
+def test_orient_exact_near_a_line(a, b, num, sign, digits):
+    # c sits on the line through a and b, or off it by far less than a
+    # float can resolve, so only the exact fallback can decide
+    if a == b:
+        return
+    c = lerp(a, b, Fraction(num, 7))
+    c = Pt(c.x + Fraction(sign, 10**digits), c.y)
+    for tri in ((a, b, c), (b, c, a), (c, a, b)):
+        assert orient(*tri) == _exact_orient(*tri)
+
+
+def test_orient_beyond_float_range():
+    big = 10**400
+    a, b = Pt(-big, 0), Pt(big, 1)
+    assert orient(a, b, Pt(0, 0)) == _exact_orient(a, b, Pt(0, 0)) == -1
+    assert orient(a, b, Pt(0, 1)) == 1
+    assert orient(Pt(0, 0), Pt(big, big), Pt(big + 1, big + 1)) == 0
+    tiny = Fraction(1, 10**400)
+    assert orient(Pt(0, 0), Pt(tiny, 0), Pt(0, tiny)) == 1
+
+
+@given(pts, pts, pts, pts, pts)
+@settings(max_examples=300)
+def test_line_params_match_rational_formulas(a, d, t1, t2, t3):
+    # line_param and clip_line_to_triangle work in integers; the plain
+    # rational formulas are the reference
+    if d == Pt(0, 0):
+        return
+    ln = LineSpec(a, d)
+
+    def ref_param(p):
+        return dot(p - a, d) / dot(d, d)
+
+    tri = (t1, t2, t3)
+    ts = [ref_param(p) for p in tri if line_side(ln, p) == 0]
+    for u, v in zip(tri, tri[1:] + tri[:1]):
+        cu, cv = cross(d, u - a), cross(d, v - a)
+        if cu * cv < 0:
+            ts.append(ref_param(lerp(u, v, cu / (cu - cv))))
+    assert clip_line_to_triangle(ln, tri) == ((min(ts), max(ts)) if ts else None)
+    assert line_param(ln, t1) == ref_param(t1)
+
+
 @given(pts, pts, pts, pts, pts)
 @settings(max_examples=200)
 def test_clip_line_to_triangle_inside(a, b, t1, t2, t3):

@@ -191,7 +191,7 @@ def test_vertical_line_lifts_once_over_the_top(d1_tri, over_path):
     w = crossing_word(over_path, d1_tri)
     sl = build_sleeve(w, d1_tri)
     line = LineSpec.through(Pt(0, -9), Pt(0, 9))
-    pieces = line_lifts(line, sl, d1_tri.domain)
+    pieces = line_lifts(line, sl)
     assert len(pieces) == 1
 
 
@@ -199,7 +199,7 @@ def test_vertical_line_lifts_twice_around_the_loop(d1_tri, loop_path):
     w = crossing_word(loop_path, d1_tri)
     sl = build_sleeve(w, d1_tri)
     line = LineSpec.through(Pt(0, -9), Pt(0, 9))
-    pieces = line_lifts(line, sl, d1_tri.domain)
+    pieces = line_lifts(line, sl)
     assert len(pieces) == 2
 
 

@@ -254,6 +254,31 @@ def test_replay_keeps_connected_chords_connected(d1, loop_path, over_path):
         assert replay_persistence_violations(rep) == []
 
 
+# --- line family ---
+
+
+def test_chord_moves_follow_vertex_pair_lines(d1, over_path, loop_path):
+    from conftest import instance_batch
+    from tautpath.geom import line_side
+
+    cases = [(d1, over_path), (d1, loop_path), (d1, PathPoly(SEED2_PATH))]
+    cases += [(inst["domain"], inst["path"]) for inst in instance_batch(8, seed0=40)]
+    for d, p in cases:
+        rep = tighten(p, d, TightenOptions(seed=0))
+        # a round's lines come from the path vertices at its start, which
+        # earlier moves of the round may have removed
+        pts = set(d.verts) | set(rep.replay_base[0])
+        for mv in rep.moves:
+            if mv.kind != "chord":
+                continue
+            assert sum(line_side(mv.line, v) == 0 for v in pts) >= 2
+            pts.update(mv.verts_after)
+        other = tighten(p, d, TightenOptions(seed=42))
+        assert [(m.kind, m.line and m.line.key, m.verts_after, m.pos_after) for m in rep.moves] == [
+            (m.kind, m.line and m.line.key, m.verts_after, m.pos_after) for m in other.moves
+        ]
+
+
 # --- error paths ---
 
 
@@ -264,10 +289,13 @@ def test_path_through_hole_rejected(d1):
 
 def test_invalid_domain_rejected():
     from tautpath.domain import PolygonalDomain
+    from tautpath.homotopy import general_position_triangulation
 
     bowtie = PolygonalDomain([(0, 0), (4, 4), (4, 0), (0, 4)], [])
-    with pytest.raises(InvalidPath):
-        tighten(PathPoly([(1, 1), (2, 1)]), bowtie)
+    p = PathPoly([(1, 1), (2, 1)])
+    for check in (tighten, certify_efficient, lambda p, d: general_position_triangulation(d, [p])):
+        with pytest.raises(InvalidPath, match="^domain: "):
+            check(p, bowtie)
 
 
 # --- dual route over generated instances ---
