@@ -14,6 +14,7 @@ from typing import Optional
 from .geom import (
     Pt,
     Segment,
+    cross,
     dist2,
     lerp,
     on_segment,
@@ -235,6 +236,24 @@ def locate(d: PolygonalDomain, p: Pt) -> Location:
     return Location("interior")
 
 
+def enters_domain(d: PolygonalDomain, loc: Location, c: Pt) -> bool:
+    """Whether direction c from the boundary point at `loc` enters the open
+    domain.  The domain lies left of every directed ring edge, so at an
+    edge point c must be strictly left of the edge, and at a vertex v with
+    ring neighbours a (before) and b (after) strictly inside the open
+    counterclockwise sweep from b - v to a - v."""
+    ring = d.ring(loc.ring)
+    i, n = loc.index, len(ring)
+    if loc.feature == "edge":
+        return cross(ring[(i + 1) % n] - ring[i], c) > 0
+    v = ring[i]
+    to_b, to_a = ring[(i + 1) % n] - v, ring[i - 1] - v
+    past_b, before_a = cross(to_b, c) > 0, cross(c, to_a) > 0
+    if cross(to_b, to_a) >= 0:  # the sweep is at most a half turn
+        return past_b and before_a
+    return past_b or before_a
+
+
 class Triangulation:
     """Triangle mesh over the closure of the domain.
 
@@ -294,17 +313,16 @@ class Triangulation:
         neighbors = {ti: [] for ti in range(len(self.tris))}
         for key in interior:
             t1, t2 = edge_tris[key]
-            neighbors[t1].append((key, t2))
-            neighbors[t2].append((key, t1))
+            neighbors[t1].append(t2)
+            neighbors[t2].append(t1)
         while stack:
             cur = stack.pop()
-            for _, other in neighbors[cur]:
+            for other in neighbors[cur]:
                 if other not in seen:
                     seen.add(other)
                     stack.append(other)
         if len(seen) != len(self.tris):
             raise TriangulationError("dual graph not connected")
-        self.neighbors = neighbors
 
     def tri_pts(self, ti):
         i, j, k = self.tris[ti]

@@ -10,23 +10,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-try:
-    from gmpy2 import mpq as _mpq
-except ImportError:  # gmpy2 is optional; Fraction gives the same exact results
-    _mpq = Fraction
-
 
 def rat(v):
-    """Coerce ints, Fractions, floats and decimal strings to the exact scalar."""
-    t = type(v)
-    if t is _mpq:
-        return v
-    if t is int:
-        return _mpq(v)
-    # Fraction(str) accepts decimal strings ("-3.25"), Fraction(float) is exact
-    if t is str or t is float:
-        return _mpq(Fraction(v))
-    return _mpq(v)
+    """Coerce ints, Fractions, floats and decimal strings to the exact scalar.
+    Fraction(str) accepts decimal strings ("-3.25"), Fraction(float) is exact."""
+    return v if type(v) is Fraction else Fraction(v)
 
 
 class GeomError(Exception):
@@ -297,7 +285,7 @@ def _line_frame(line: LineSpec):
 def _param_of_g(fr, gn, gd):
     """Line parameter of a point whose g (see `_line_frame`) is gn / gd."""
     _, _, _, g0n, g0d, sn, sd = fr
-    return _mpq((gn * g0d - g0n * gd) * sn, gd * g0d * sd)
+    return Fraction((gn * g0d - g0n * gd) * sn, gd * g0d * sd)
 
 
 def line_param(line: LineSpec, p: Pt):
@@ -336,7 +324,7 @@ def line_hits_segment(line: LineSpec, a: Pt, b: Pt):
     # the residual of A*x + B*y = C is affine along the segment
     fa, fb = A * xa + B * ya - C * wa, A * xb + B * yb - C * wb
     den = fa * wb - fb * wa
-    return ("pt", Pt(_mpq(fa * xb - fb * xa, den), _mpq(fa * yb - fb * ya, den)))
+    return ("pt", Pt(Fraction(fa * xb - fb * xa, den), Fraction(fa * yb - fb * ya, den)))
 
 
 def clip_line_to_triangle(line: LineSpec, tri_pts):

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .domain import PolygonalDomain, Triangulation, ValidationReport, locate, triangulate, TriangulationError, validate
+from .domain import PolygonalDomain, Triangulation, ValidationReport, enters_domain, locate, triangulate, TriangulationError, validate
 from .geom import (
     LineSpec,
     Pt,
@@ -423,17 +423,12 @@ class Sleeve:
     joins copies k and k+1; portal endpoints are ordered (left, right) as
     seen walking the sleeve forward."""
 
-    __slots__ = ("tri", "tri_seq", "portals", "portal_pts", "copy_index")
+    __slots__ = ("tri", "tri_seq", "portals", "portal_pts")
 
     def __init__(self, tri: Triangulation, tri_seq, portals):
         self.tri = tri
         self.tri_seq = list(tri_seq)
         self.portals = list(portals)
-        seen = {}
-        self.copy_index = []
-        for t in self.tri_seq:
-            seen[t] = seen.get(t, -1) + 1
-            self.copy_index.append(seen[t])
         self.portal_pts = []
         for k, key in enumerate(self.portals):
             nxt = self.tri_seq[k + 1]
@@ -618,13 +613,13 @@ def _inward_candidates(d: PolygonalDomain, loc):
     return cands
 
 
-def _inward_directions(d: PolygonalDomain, p: Pt, loc, probe):
-    # reflex corners can defeat the bisector; probe a tiny step and fall
-    # back to the edge normals
+def _inward_directions(d: PolygonalDomain, loc):
+    # reflex corners can defeat the bisector; keep every candidate, or its
+    # reverse, that enters the open domain
     cands = _inward_candidates(d, loc)
     out = []
     for c in cands + [c.scaled(rat(-1)) for c in cands]:
-        if c not in out and locate(d, p + c.scaled(probe)).kind == "interior":
+        if c not in out and enters_domain(d, loc, c):
             out.append(c)
     if not out:
         raise NotGeneralPosition("no inward direction found at a boundary contact")
@@ -711,7 +706,6 @@ def _pushoff_word(path: PathPoly, d: PolygonalDomain, tri: Optional[Triangulatio
     eps = rat(1)
     while eps > rat(eps_f):
         eps = eps / 2
-    probe = eps / 2**18
     pools = []
     for i, p in enumerate(pts):
         if i == 0 or i == len(pts) - 1:
@@ -721,7 +715,7 @@ def _pushoff_word(path: PathPoly, d: PolygonalDomain, tri: Optional[Triangulatio
         if loc.kind != "boundary":
             pools.append(None)
             continue
-        dirs = _inward_directions(d, p, loc, probe)
+        dirs = _inward_directions(d, loc)
         # a direction parallel to any edge line through the vertex keeps
         # the pushed vertex on that line at every scale; drop those
         blocked = _lines_through(d, p, tri)

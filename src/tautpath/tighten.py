@@ -22,7 +22,6 @@ from .geom import (
     Pt,
     Segment,
     dedupe_collinear,
-    dist2,
     lerp,
     line_hits_segment,
     line_param,
@@ -46,7 +45,6 @@ from .homotopy import (
     crossing_word,
     general_position_triangulation,
     line_lifts,
-    validate_path,
 )
 from .homotopy import _is_strict, _strict_form, _with_contacts
 
@@ -524,28 +522,25 @@ def _as_sleeve_path(path: PathPoly, d: PolygonalDomain, tri: Optional[Triangulat
 
 
 def _taut_vertex_violations(pts, d: PolygonalDomain):
+    """A bend u -> v -> w is blocked when v is a reflex domain corner whose
+    ring neighbours a, b both lie in the closed cone of the turn: then the
+    outside of the domain at v fills a wedge inside the turn, and no short
+    cut across it stays in the domain."""
     out = []
-    dverts = set(d.verts)
-    fs = float(d.feature_size2())
+    corners = {
+        v: (ring[i - 1], ring[(i + 1) % len(ring)]) for _, ring in d.rings() for i, v in enumerate(ring)
+    }
     for k in range(1, len(pts) - 1):
         u, v, w = pts[k - 1], pts[k], pts[k + 1]
         if orient(u, v, w) == 0:
             continue
-        if v not in dverts:
+        if v not in corners:
             out.append(f"vertex {k} bends away from every domain corner")
             continue
-        tu = rat(1) / 4
-        g = 0
-        while float(dist2(lerp(v, u, tu), v)) > fs / 64 and g < 80:
-            tu /= 2
-            g += 1
-        tw = rat(1) / 4
-        g = 0
-        while float(dist2(lerp(v, w, tw), v)) > fs / 64 and g < 80:
-            tw /= 2
-            g += 1
-        short = PathPoly([lerp(v, u, tu), lerp(v, w, tw)], closure=True)
-        if validate_path(short, d).ok:
+        a, b = corners[v]
+        turn = orient(v, u, w)
+        in_turn = all(orient(v, u, x) * turn >= 0 and orient(v, x, w) * turn >= 0 for x in (a, b))
+        if not (in_turn and orient(a, v, b) < 0):
             out.append(f"vertex {k} admits a local shortcut")
     return out
 

@@ -5,6 +5,10 @@ vertices for the shortest walk in a prescribed deformation class.  It
 shares only the low-level word machinery with the library, not the
 pull-tight engine, so agreement between the two is evidence rather than
 tautology.
+
+`probe_taut_vertex_violations` and `probe_enters_domain` decide the
+certificate's corner rule and the push-off's inward test by probing the
+domain a tiny step away instead of reading the corner's two edges.
 """
 
 from __future__ import annotations
@@ -13,7 +17,8 @@ import itertools
 import math
 
 from tautpath import PathPoly, general_position_triangulation, validate_path
-from tautpath.geom import Pt, dist2, polyline_length, seg_length
+from tautpath.domain import locate
+from tautpath.geom import Pt, dist2, lerp, orient, polyline_length, rat, seg_length
 from tautpath.homotopy import NotGeneralPosition, canonical_class_key, word_of
 
 
@@ -88,6 +93,41 @@ def vg_shortest_in_class(d, path: PathPoly, tri=None):
     if best_walk is None:
         raise AssertionError("oracle found no walk in the class")
     return [nodes[t] for t in best_walk], best_len
+
+
+def probe_taut_vertex_violations(pts, d):
+    """Reference for the certificate's corner rule: a bend at a domain
+    vertex admits a local shortcut when a segment across it, shrunk below
+    1/64 of the domain's feature size, stays in the closed domain."""
+    out = []
+    dverts = set(d.verts)
+    fs = float(d.feature_size2())
+    for k in range(1, len(pts) - 1):
+        u, v, w = pts[k - 1], pts[k], pts[k + 1]
+        if orient(u, v, w) == 0:
+            continue
+        if v not in dverts:
+            out.append(f"vertex {k} bends away from every domain corner")
+            continue
+        ends = []
+        for x in (u, w):
+            t = rat(1) / 4
+            while float(dist2(lerp(v, x, t), v)) > fs / 64:
+                t /= 2
+            ends.append(lerp(v, x, t))
+        if validate_path(PathPoly(ends, closure=True), d).ok:
+            out.append(f"vertex {k} admits a local shortcut")
+    return out
+
+
+def probe_enters_domain(d, p, c):
+    """Reference for `enters_domain`: whether a step along c from the
+    boundary point p, far below the domain's feature size, lands in the
+    open domain."""
+    step = rat(1)
+    while step > rat(math.sqrt(float(d.feature_size2())) / 4):
+        step /= 2
+    return locate(d, p + c.scaled(step / 2**18)).kind == "interior"
 
 
 def brute_len_value(pts, k: int, grid_pts=None):

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tautpath.geom import Pt, Segment, LineSpec, rat, segments_intersect
+from tautpath.domain import enters_domain, locate
+from tautpath.geom import Pt, Segment, LineSpec, lerp, rat, segments_intersect
 from tautpath.homotopy import (
     PathPoly,
     validate_path,
@@ -20,7 +21,10 @@ from tautpath.homotopy import (
     pushoff,
     general_position_triangulation,
     EndpointMismatch,
+    _inward_candidates,
+    _with_contacts,
 )
+from oracles import probe_enters_domain
 
 
 GOLDEN_OVER = [(-3, 0), (-1, 1), (1, 1), (3, 0)]
@@ -218,6 +222,30 @@ def test_pushoff_gives_strict_same_class(d1, d1_tri, over_path):
 def test_pushoff_of_strict_path_is_identity(d1, d1_tri, over_path):
     pushed = pushoff(over_path, d1, tri=d1_tri)
     assert pushed.vertices == over_path.vertices
+
+
+def test_inward_directions_match_probe():
+    from conftest import instance_batch
+    from tautpath.tighten import TightenOptions, tighten
+
+    checked = entering = 0
+    for inst in instance_batch(6, seed0=300, max_holes=3, spread=24):
+        d = inst["domain"]
+        out = tighten(inst["path"], d, TightenOptions(certify_lines=0)).path
+        points = _with_contacts(out, d)[1:-1]
+        for _, ring in d.rings():
+            points += [lerp(a, ring[(i + 1) % len(ring)], rat(1) / 2) for i, a in enumerate(ring)] + ring
+        for p in points:
+            loc = locate(d, p)
+            if loc.kind != "boundary":
+                continue
+            cands = _inward_candidates(d, loc)
+            for c in cands + [c.scaled(rat(-1)) for c in cands]:
+                got = enters_domain(d, loc, c)
+                assert got == probe_enters_domain(d, p, c), (p, c)
+                checked += 1
+                entering += got
+    assert 0 < entering < checked
 
 
 def test_word_of_handles_closure_members(d1_tri):

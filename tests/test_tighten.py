@@ -1,9 +1,11 @@
 """Pull-tight engine, funnel cross-check, certificates."""
 
 import math
+import random
 
 import pytest
 
+from tautpath.domain import triangulate
 from tautpath.geom import Pt, LineSpec, rat, polyline_length, dedupe_collinear
 from tautpath.homotopy import (
     PathPoly,
@@ -23,8 +25,10 @@ from tautpath.tighten import (
     InvalidPath,
     _as_sleeve_path,
     _component_ends,
+    _taut_vertex_violations,
 )
 from conftest import replay_persistence_violations
+from oracles import probe_taut_vertex_violations
 
 SQRT5 = math.sqrt(5.0)
 
@@ -151,6 +155,53 @@ def test_certificate_flags_wrong_bend(d1):
     bent = PathPoly([(-3, 0), (0, 2), (3, 0)])
     cert = certify_efficient(bent, d1, lines=50, seed=3)
     assert not cert.taut_vertices_ok
+
+
+@pytest.mark.parametrize(
+    "pts, blocked",
+    [
+        ([(3, -4), (5, -5), (4, -3)], False),  # bend at an outer convex corner
+        ([(-1, 1), (1, 1), (1, -1)], True),  # hugs both edges of a hole corner
+        ([(3, -5), (5, -5), (5, -3)], False),  # hugs both edges of an outer corner
+    ],
+)
+def test_certificate_corner_bends(d1, pts, blocked):
+    cert = certify_efficient(PathPoly(pts, closure=True), d1, lines=0)
+    assert cert.taut_vertices_ok is blocked
+
+
+def _corner_paths(d):
+    """For every domain vertex v with ring neighbours a, b: a-v-b and b-v-a
+    along both edges, and a-v-x and x-v-b for x the centroid of each
+    triangle at v."""
+    tri = triangulate(d)
+    out = []
+    for _, ring in d.rings():
+        for i, v in enumerate(ring):
+            a, b = ring[i - 1], ring[(i + 1) % len(ring)]
+            out += [[a, v, b], [b, v, a]]
+            for ti in range(len(tri.tris)):
+                corners = tri.tri_pts(ti)
+                if v in corners:
+                    x = Pt(sum(c.x for c in corners) / 3, sum(c.y for c in corners) / 3)
+                    out += [[a, v, x], [x, v, b]]
+    return out
+
+
+def test_corner_rule_matches_probe():
+    from conftest import instance_batch, perturb_homotopic
+    rng = random.Random(11)
+    clean = flagged = 0
+    for inst in instance_batch(6, seed0=300, max_holes=3, spread=24):
+        d = inst["domain"]
+        out = tighten(inst["path"], d, TightenOptions(certify_lines=0)).path
+        paths = [out.vertices] + [perturb_homotopic(out, d, rng).vertices for _ in range(2)]
+        for pts in paths + _corner_paths(d):
+            got = _taut_vertex_violations(pts, d)
+            assert got == probe_taut_vertex_violations(pts, d), pts
+            clean += not got
+            flagged += bool(got)
+    assert clean and flagged, (clean, flagged)
 
 
 def test_locally_shortest_check_examples(d1, over_path):
