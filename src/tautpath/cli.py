@@ -17,7 +17,7 @@ import sys
 import tempfile
 
 from .domain import PolygonalDomain, TriangulationError, triangulate, validate
-from .geom import GeomError, Pt, polyline_length, rat
+from .geom import GeomError, Pt, rat
 from .homotopy import (
     EndpointMismatch,
     NotGeneralPosition,
@@ -265,14 +265,8 @@ def _gen_path(rng: random.Random, d: PolygonalDomain):
         if bad or len(set(pts)) < len(pts):
             continue
         cand = PathPoly(pts)
-        if not validate_path(cand, d).ok:
-            continue
-        # emitted instances must survive the engine's triangulation seeds
-        try:
-            general_position_triangulation(d, [cand])
-        except NotGeneralPosition:
-            continue
-        return cand
+        if validate_path(cand, d).ok:
+            return cand
     return None
 
 
@@ -301,7 +295,7 @@ def generate_instance(seed: int, holes: int = 1, vertices: int = 10) -> dict:
             continue
         d = PolygonalDomain(outer, hs)
         try:
-            triangulate(d, seed=0)
+            triangulate(d)
         except TriangulationError:
             continue
         path = _gen_path(rng, d)
@@ -399,7 +393,7 @@ def _cmd_homotopic(args) -> int:
     if da.outer != db.outer or da.holes != db.holes:
         print("instances describe different domains")
         return 1
-    tri = general_position_triangulation(da, [a["path"], b["path"]])[0]
+    tri = general_position_triangulation(da, [])[0]
     print("homotopic" if homotopic(a["path"], b["path"], tri) else "not homotopic")
     return 0
 

@@ -54,6 +54,7 @@ class PolygonalDomain:
         self.outer = [p if isinstance(p, Pt) else Pt(*p) for p in outer]
         self.holes = [[p if isinstance(p, Pt) else Pt(*p) for p in h] for h in holes]
         self._feature2 = None
+        self._report = None
 
     @classmethod
     def from_coords(cls, outer, holes=()):
@@ -165,6 +166,13 @@ def _on_ring(p: Pt, ring) -> bool:
 
 
 def validate(d: PolygonalDomain) -> ValidationReport:
+    """Checks the rings and their nesting; memoized on the domain."""
+    if d._report is None:
+        d._report = _validate(d)
+    return d._report
+
+
+def _validate(d: PolygonalDomain) -> ValidationReport:
     v = []
     ok_outer = _ring_simple(d.outer, "outer", v)
     if ok_outer and signed_area2(d.outer) <= 0:
@@ -340,13 +348,6 @@ class Triangulation:
                 out.append(ti)
         return out
 
-    def open_tri_containing(self, p: Pt):
-        for ti in range(len(self.tris)):
-            a, b, c = self.tri_pts(ti)
-            if point_in_triangle(p, a, b, c, closed=False):
-                return ti
-        return None
-
 
 def _bridge_visible(d, seg_a, seg_b, ring_pts, pending_holes):
     """seg between a hole vertex and a merged-ring vertex: may only touch
@@ -367,7 +368,7 @@ def _bridge_visible(d, seg_a, seg_b, ring_pts, pending_holes):
     return locate(d, mid).kind == "interior"
 
 
-def _merge_holes(d: PolygonalDomain, seed: int):
+def _merge_holes(d: PolygonalDomain):
     """Splice every hole into the outer ring via a mutually visible bridge;
     each bridge duplicates one ring node and one hole node."""
     n0 = len(d.outer)
@@ -385,9 +386,6 @@ def _merge_holes(d: PolygonalDomain, seed: int):
             for rj in range(len(ring)):
                 cands.append((dist2(hole[hi], pos[ring[rj]]), hi, rj))
         cands.sort(key=lambda c: (c[0], c[1], c[2]))
-        if seed:
-            k = seed % len(cands)
-            cands = cands[k:] + cands[:k]
         ring_pts = [pos[i] for i in ring]
         chosen = None
         for _, hi, rj in cands:
@@ -405,18 +403,18 @@ def _merge_holes(d: PolygonalDomain, seed: int):
     return ring
 
 
-def triangulate(d: PolygonalDomain, seed: int = 0) -> Triangulation:
-    """Deterministic for a given domain and seed; different seeds may pick
-    different bridges / ear orders and therefore different diagonals."""
+def triangulate(d: PolygonalDomain) -> Triangulation:
+    """Deterministic: the shortest visible bridges, then ears clipped in
+    ring order."""
     report = validate(d)
     if not report.ok:
         raise TriangulationError("invalid domain: " + "; ".join(report.violations))
-    ring = _merge_holes(d, seed)
+    ring = _merge_holes(d)
     pos = d.verts
     nodes = list(ring)
     tris = []
     guard = 0
-    idx = seed % max(len(nodes), 1)
+    idx = 0
     while len(nodes) > 3:
         n = len(nodes)
         if guard > n:

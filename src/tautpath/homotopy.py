@@ -1,7 +1,8 @@
 """Homotopy bookkeeping over a fixed triangulation.
 
-A path in general position is encoded by its crossing word: the ordered
-sequence of (interior edge, direction) transversal crossings.  Reduced
+A path in the open domain is encoded by its crossing word: the ordered
+sequence of (interior edge, direction) transversal crossings, with
+degenerate positions decided by an infinitesimal shift.  Reduced
 words classify homotopy classes rel endpoints (after a normalization at
 endpoints that sit on triangulation vertices), the sleeve of a reduced
 word is the chain of triangle copies the class runs through, and lifted
@@ -12,23 +13,20 @@ that touch the boundary are compared via a small inward pushoff.
 from __future__ import annotations
 
 import math
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from .domain import PolygonalDomain, Triangulation, ValidationReport, enters_domain, locate, triangulate, TriangulationError, validate
+from .domain import PolygonalDomain, Triangulation, ValidationReport, enters_domain, locate, triangulate, validate
 from .geom import (
     LineSpec,
     Pt,
     Segment,
     clip_line_to_triangle,
     cross,
-    dist2,
     lerp,
     line_side,
     on_segment,
     orient,
-    point_in_triangle,
     point_seg_dist2,
     rat,
     seg_param,
@@ -37,7 +35,7 @@ from .geom import (
 
 
 class NotGeneralPosition(Exception):
-    """Path has a vertex on an interior edge or slides along one."""
+    """No strict representative found for a path touching the boundary."""
 
 
 class EndpointMismatch(Exception):
@@ -169,7 +167,6 @@ class Crossing:
     t: object  # exact param within that edge
     eid: int  # interior edge id
     sign: int  # side of the directed interior edge the path came from
-    point: Pt
 
 
 class CrossingWord:
@@ -197,66 +194,92 @@ def _tri_side(tri: Triangulation, key, ti) -> int:
     return orient(u, v, tri.verts[w])
 
 
-def _stub_tri(tri: Triangulation, p: Pt):
-    """Triangle a path hanging at p starts in; smallest fan member when p
-    is a triangulation vertex."""
-    t = tri.open_tri_containing(p)
-    if t is not None:
-        return t
-    for vi, q in enumerate(tri.verts):
-        if p == q:
-            return min(ti for ti, tpl in enumerate(tri.tris) if vi in tpl)
-    for key, owners in tri.edge_tris.items():
-        a, b = tri.edge_pts(key)
-        if on_segment(p, a, b):
-            if len(owners) == 1:
-                return owners[0]
-            raise NotGeneralPosition("path endpoint on an interior edge")
-    raise NotGeneralPosition("point not inside the triangulated closure")
+# Ties are broken by simulation of simplicity (Edelsbrunner & Muecke
+# 1990): a path point that is not a triangulation vertex is read as if
+# shifted by the infinitesimal vector delta = (eps, eps**2).
+
+
+def _tie(w: Pt) -> int:
+    """Sign of cross(w, delta): the side of a line with direction w that a
+    point on it takes once shifted by delta."""
+    if w.y != 0:
+        return -1 if w.y > 0 else 1
+    return 1 if w.x > 0 else -1
+
+
+def _side(u: Pt, v: Pt, x: Pt) -> int:
+    """Side of the directed line u -> v that x + delta lies on; never 0."""
+    return orient(u, v, x) or _tie(v - u)
+
+
+def _stub_tri(tri: Triangulation, m: Pt):
+    """Open triangle holding m + delta, or None when m + delta is outside."""
+    verts = tri.verts
+    for ti, (i, j, k) in enumerate(tri.tris):
+        a, b, c = verts[i], verts[j], verts[k]
+        if _side(a, b, m) > 0 and _side(b, c, m) > 0 and _side(c, a, m) > 0:
+            return ti
+    return None
+
+
+def _start_tri(tri: Triangulation, path: PathPoly, records):
+    """Triangle the path starts in: the one holding its shifted stub (the
+    path before the first crossing).  A constant path at a vertex takes the
+    smallest member of the vertex's fan, and one on a boundary edge whose
+    shift leaves the domain the edge's only triangle."""
+    pts = path.vertices
+    if path.is_constant():
+        owners = tri.tri_containing(pts[0])
+        if len(owners) == 1 or (owners and pts[0] in tri.verts):
+            return owners[0]
+        stub = pts[0]
+    elif records and records[0].edge_index == 0:
+        stub = lerp(pts[0], pts[1], records[0].t / 2)
+    else:
+        stub = lerp(pts[0], pts[1], rat(1) / 2)
+    start = _stub_tri(tri, stub)
+    if start is None:
+        raise InvalidPath("path starts outside the triangulated domain")
+    return start
 
 
 def crossing_word(path: PathPoly, tri: Triangulation) -> CrossingWord:
-    """Raw crossing word of a strict-regime path in general position."""
+    """Raw crossing word of a strict-regime path.  A path edge crosses a
+    diagonal when, with ties broken by the shift delta, its ends lie on
+    opposite sides of the diagonal and the diagonal's ends on opposite
+    sides of the edge.  The first and last edges skip the diagonals that
+    meet an endpoint sitting on a triangulation vertex."""
     pts = path.vertices
     records = []
-    interior = tri.interior_edges
-    epts = [tri.edge_pts(k) for k in interior]
+    epts = [tri.edge_pts(k) for k in tri.interior_edges]
     last_edge = len(pts) - 2
     for i in range(len(pts) - 1):
         a, b = pts[i], pts[i + 1]
+        lox, hix = min(a.fx, b.fx), max(a.fx, b.fx)
+        loy, hiy = min(a.fy, b.fy), max(a.fy, b.fy)
+        ab_tie = None
         local = []
         for eid, (u, v) in enumerate(epts):
-            kind, data = segments_intersect(Segment(a, b), Segment(u, v))
-            if kind == "disjoint":
+            # rounding to floats keeps order, so disjoint float boxes are disjoint
+            if max(u.fx, v.fx) < lox or hix < min(u.fx, v.fx) or max(u.fy, v.fy) < loy or hiy < min(u.fy, v.fy):
                 continue
-            if kind == "proper":
-                side = orient(u, v, a)
-                local.append(Crossing(i, seg_param(a, b, data), eid, side, data))
-            elif kind == "touch":
-                at_start = i == 0 and data == pts[0] and (data == u or data == v)
-                at_end = i == last_edge and data == pts[-1] and (data == u or data == v)
-                if not (at_start or at_end):
-                    raise NotGeneralPosition(
-                        "path vertex on an interior edge or crossing through a vertex"
-                    )
-            else:
-                raise NotGeneralPosition("path slides along an interior edge")
+            sa = _side(u, v, a)
+            if sa == _side(u, v, b):
+                continue
+            if ab_tie is None:
+                ab_tie = -_tie(b - a)
+            if (orient(a, b, u) or ab_tie) == (orient(a, b, v) or ab_tie):
+                continue
+            if (i == 0 and a in (u, v)) or (i == last_edge and b in (u, v)):
+                continue
+            uv = v - u
+            t = cross(u - a, uv) / cross(b - a, uv)
+            local.append(Crossing(i, t, eid, sa))
         local.sort(key=lambda c: c.t)
-        for k in range(len(local) - 1):
-            if local[k].t == local[k + 1].t:
-                raise NotGeneralPosition("simultaneous interior-edge crossings")
         records.extend(local)
-    if path.is_constant() or not records:
-        start = _stub_tri(tri, pts[0])
-        return CrossingWord([], start, start, records=[])
-    first = records[0]
-    a, b = pts[first.edge_index], pts[first.edge_index + 1]
-    stub_mid = lerp(a, b, first.t / 2) if first.edge_index == 0 else lerp(pts[0], pts[1], rat(1) / 2)
-    start = tri.open_tri_containing(stub_mid)
-    if start is None:
-        raise NotGeneralPosition("cannot place the initial stub in an open triangle")
+    start = _start_tri(tri, path, records)
     letters = [(c.eid, c.sign) for c in records]
-    end = walk_triangles(tri, start, letters)[-1]
+    end = walk_triangles(tri, start, letters)[-1] if letters else start
     return CrossingWord(letters, start, end, records=records)
 
 
@@ -397,25 +420,17 @@ def homotopic(p1: PathPoly, p2: PathPoly, tri: Triangulation) -> bool:
 
 
 def general_position_triangulation(d: PolygonalDomain, paths):
-    """(tri, strict forms, raw words) for the first of three bridging/ear
-    seeds under which every path's strict form (see `word_of`) has a
-    crossing word.  This is the one place that retries triangulation
-    seeds.  An invalid domain, or a path that leaves the closed domain,
-    raises InvalidPath before any seed is tried."""
+    """(tri, strict forms, raw words): the domain's triangulation and, for
+    each path, its strict form (see `word_of`) and crossing word.  An
+    invalid domain, or a path that leaves the closed domain, raises
+    InvalidPath."""
     rep = validate(d)
     if not rep.ok:
         raise InvalidPath("domain: " + "; ".join(rep.violations))
     regimes = [_is_strict(p, d) for p in paths]
-    err = None
-    for seed in range(3):
-        try:
-            tri = triangulate(d, seed=seed)
-            forms = [_strict_form(p, d, tri, s) for p, s in zip(paths, regimes)]
-        except (TriangulationError, NotGeneralPosition) as e:
-            err = e
-            continue
-        return tri, [f for f, _ in forms], [w for _, w in forms]
-    raise NotGeneralPosition(f"no general-position triangulation in 3 tries: {err}")
+    tri = triangulate(d)
+    forms = [_strict_form(p, d, tri, s) for p, s in zip(paths, regimes)]
+    return tri, [f for f, _ in forms], [w for _, w in forms]
 
 
 class Sleeve:
@@ -586,8 +601,9 @@ def boundary_contact_params(path: PathPoly, d: PolygonalDomain):
                 if kind == "touch":
                     ts.add(seg_param(a, b, data))
                 elif kind == "overlap":
-                    ts.add(seg_param(a, b, data.a))
-                    ts.add(seg_param(a, b, data.b))
+                    # the midpoint gives an edge lying on the boundary a contact to push
+                    ta, tb = seg_param(a, b, data.a), seg_param(a, b, data.b)
+                    ts.update((ta, tb, (ta + tb) / 2))
         out.append(sorted(t for t in ts if 0 < t < 1))
     return out
 
@@ -613,34 +629,14 @@ def _inward_candidates(d: PolygonalDomain, loc):
     return cands
 
 
-def _inward_directions(d: PolygonalDomain, loc):
-    # reflex corners can defeat the bisector; keep every candidate, or its
+def _inward_direction(d: PolygonalDomain, loc):
+    # reflex corners can defeat the bisector; take the first candidate, or
     # reverse, that enters the open domain
     cands = _inward_candidates(d, loc)
-    out = []
     for c in cands + [c.scaled(rat(-1)) for c in cands]:
-        if c not in out and enters_domain(d, loc, c):
-            out.append(c)
-    if not out:
-        raise NotGeneralPosition("no inward direction found at a boundary contact")
-    return out
-
-
-def _lines_through(d: PolygonalDomain, p: Pt, tri: Optional[Triangulation]):
-    """Directions of all boundary and interior-edge lines containing p."""
-    out = []
-    for _, ring in d.rings():
-        n = len(ring)
-        for j in range(n):
-            a, b = ring[j], ring[(j + 1) % n]
-            if orient(a, b, p) == 0:
-                out.append(b - a)
-    if tri is not None:
-        for ia, ib in tri.interior_edges:
-            a, b = tri.verts[ia], tri.verts[ib]
-            if orient(a, b, p) == 0:
-                out.append(b - a)
-    return out
+        if enters_domain(d, loc, c):
+            return c
+    raise NotGeneralPosition("no inward direction found at a boundary contact")
 
 
 def _clearance2(path: PathPoly, d: PolygonalDomain):
@@ -666,16 +662,15 @@ def _clearance2(path: PathPoly, d: PolygonalDomain):
     return best
 
 
-def pushoff(path: PathPoly, d: PolygonalDomain, tri: Optional[Triangulation] = None) -> PathPoly:
+def pushoff(path: PathPoly, d: PolygonalDomain) -> PathPoly:
     """Strict-regime representative of a closure path: every boundary
     contact becomes a vertex nudged into the open domain.
 
     The nudge is smaller than half the domain feature size and half the
     path's clearance off the boundary, which keeps the result in the same
-    class closure.  When `tri` is given the result is retried until it is
-    in general position for it.
+    class closure.
     """
-    return _pushoff_word(path, d, tri)[0]
+    return _pushoff_word(path, d)[0]
 
 
 def _with_contacts(path: PathPoly, d: PolygonalDomain) -> list:
@@ -706,41 +701,13 @@ def _pushoff_word(path: PathPoly, d: PolygonalDomain, tri: Optional[Triangulatio
     eps = rat(1)
     while eps > rat(eps_f):
         eps = eps / 2
-    pools = []
+    dirs = []
     for i, p in enumerate(pts):
-        if i == 0 or i == len(pts) - 1:
-            pools.append(None)
-            continue
-        loc = locate(d, p)
-        if loc.kind != "boundary":
-            pools.append(None)
-            continue
-        dirs = _inward_directions(d, loc)
-        # a direction parallel to any edge line through the vertex keeps
-        # the pushed vertex on that line at every scale; drop those
-        blocked = _lines_through(d, p, tri)
-        keep = [c for c in dirs if all(cross(c, bd) != 0 for bd in blocked)]
-        pools.append(keep or dirs)
-    # a pushed vertex can land exactly on a triangulation edge's line, so
-    # later attempts vary the direction choice, not just the step size
-    for attempt in range(14):
-        scale = eps / 2 ** (attempt + 1)
-        rnd = random.Random(attempt)
-        moved = []
-        for p, pool in zip(pts, pools):
-            if pool is None:
-                moved.append(p)
-            else:
-                dr = pool[0] if attempt == 0 else pool[rnd.randrange(len(pool))]
-                moved.append(p + dr.scaled(scale))
-        cand = PathPoly(moved, closure=False)
-        if not validate_path(cand, d).ok:
-            continue
-        word = None
-        if tri is not None:
-            try:
-                word = crossing_word(cand, tri)
-            except NotGeneralPosition:
-                continue
-        return cand, word
+        loc = locate(d, p) if 0 < i < len(pts) - 1 else None
+        dirs.append(_inward_direction(d, loc) if loc and loc.kind == "boundary" else None)
+    for k in range(1, 15):
+        scale = eps / 2**k
+        cand = PathPoly([p if c is None else p + c.scaled(scale) for p, c in zip(pts, dirs)])
+        if validate_path(cand, d).ok:
+            return cand, None if tri is None else crossing_word(cand, tri)
     raise NotGeneralPosition("pushoff failed to find a strict representative")

@@ -424,8 +424,16 @@ def funnel_shortest(sleeve: Sleeve, p: Pt, q: Pt) -> list:
     """Shortest path from p to q through the sleeve's portals, by the
     classic funnel scan with exact orientation tests.  Independent of the
     pull-tight machinery; used as a cross-check."""
-    ls = [p] + [l for l, r in sleeve.portal_pts] + [q]
-    rs = [p] + [r for l, r in sleeve.portal_pts] + [q]
+    # a portal through an endpoint constrains nothing, and would put the
+    # apex on a funnel side
+    portals = sleeve.portal_pts
+    i, j = 0, len(portals)
+    while i < j and on_segment(p, *portals[i]):
+        i += 1
+    while j > i and on_segment(q, *portals[j - 1]):
+        j -= 1
+    ls = [p] + [l for l, r in portals[i:j]] + [q]
+    rs = [p] + [r for l, r in portals[i:j]] + [q]
     n = len(ls)
     out = [p]
     apex, ai = p, 0

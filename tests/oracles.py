@@ -19,7 +19,7 @@ import math
 from tautpath import PathPoly, general_position_triangulation, validate_path
 from tautpath.domain import locate
 from tautpath.geom import Pt, dist2, lerp, orient, polyline_length, rat, seg_length
-from tautpath.homotopy import NotGeneralPosition, canonical_class_key, word_of
+from tautpath.homotopy import canonical_class_key, word_of
 
 
 def _class_key(path: PathPoly, tri):
@@ -67,12 +67,9 @@ def vg_shortest_in_class(d, path: PathPoly, tri=None):
             return
         if i == 1 and len(walk) >= 2:
             cand = PathPoly([nodes[t] for t in walk], closure=True)
-            try:
-                if _class_key(cand, tri) == target:
-                    best_len = acc
-                    best_walk = list(walk)
-            except NotGeneralPosition:
-                pass
+            if _class_key(cand, tri) == target:
+                best_len = acc
+                best_walk = list(walk)
             return
         for j in order:
             if j == 0 or (j != 1 and j in used) or not vis[i][j]:

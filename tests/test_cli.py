@@ -219,7 +219,7 @@ def test_homotopic_distinguishes_classes(tmp_path, capsys):
 
 
 def test_homotopic_after_seed_fallback(tmp_path, capsys):
-    # under seeds 0 and 1 the start has a vertex on an interior edge
+    # the end of the start path lies on an interior edge
     start = write_d1(tmp_path, "start.json", path=[["-4", "-3"], ["0", "-3"], ["3", "2"]])
     taut = write_d1(tmp_path, "taut.json", path=[["-4", "-3"], ["1", "-1"], ["3", "2"]])
     assert main(["homotopic", start, taut]) == 0

@@ -73,7 +73,7 @@ def test_validate_rejects_hole_outside():
 
 
 def test_d1_triangulation_euler_count(d1):
-    tri = triangulate(d1, seed=0)
+    tri = triangulate(d1)
     n = len(d1.verts)
     h = len(d1.holes)
     assert len(tri.tris) == n + 2 * h - 2 == 8
@@ -82,14 +82,14 @@ def test_d1_triangulation_euler_count(d1):
 
 
 def test_triangulation_area_matches_domain(d1):
-    tri = triangulate(d1, seed=0)
+    tri = triangulate(d1)
     tri_area = sum(orient(*tri.tri_pts(t)) and signed_area2(list(tri.tri_pts(t))) for t in range(len(tri.tris)))
     dom_area = signed_area2(d1.outer) + sum(signed_area2(h) for h in d1.holes)
     assert tri_area == dom_area
 
 
 def test_interior_edges_have_two_triangles(d1):
-    tri = triangulate(d1, seed=0)
+    tri = triangulate(d1)
     for e in tri.interior_edges:
         key = tuple(sorted(e))
         assert len(tri.edge_tris[key]) == 2
@@ -102,7 +102,7 @@ def test_locate_agrees_with_triangulation_on_batch():
     rng = random.Random(7)
     for inst in instance_batch(12, seed0=40):
         d = inst["domain"]
-        tri = triangulate(d, seed=0)
+        tri = triangulate(d)
         tri_area = sum(signed_area2(list(tri.tri_pts(t))) for t in range(len(tri.tris)))
         dom_area = signed_area2(d.outer) + sum(signed_area2(h) for h in d.holes)
         assert tri_area == dom_area
@@ -123,18 +123,10 @@ def test_locate_agrees_with_triangulation_on_batch():
                     assert point_in_triangle(p, *tri.tri_pts(ti), closed=True)
 
 
-def test_open_tri_containing_strict(d1):
-    tri = triangulate(d1, seed=0)
-    t = tri.open_tri_containing(Pt(-3, 0))
-    if t is not None:
-        assert point_in_triangle(Pt(-3, 0), *tri.tri_pts(t), closed=False)
-    assert tri.open_tri_containing(Pt(0, 0)) is None
-
-
 def test_triangulate_rejects_invalid():
     bow = [(0, 0), (4, 4), (4, 0), (0, 4)]
     with pytest.raises(TriangulationError):
-        triangulate(PolygonalDomain.from_coords(bow, []), seed=0)
+        triangulate(PolygonalDomain.from_coords(bow, []))
 
 
 def test_feature_size_positive(d1):
@@ -156,5 +148,5 @@ def test_random_convex_polygons_triangulate(n, seed):
     d = PolygonalDomain(poly, [])
     if not validate(d).ok:
         return
-    tri = triangulate(d, seed=0)
+    tri = triangulate(d)
     assert len(tri.tris) == len(poly) - 2

@@ -212,15 +212,15 @@ def test_vertical_line_lifts_twice_around_the_loop(d1_tri, loop_path):
 
 def test_pushoff_gives_strict_same_class(d1, d1_tri, over_path):
     touch = PathPoly(GOLDEN_OVER, closure=True)
-    pushed = pushoff(touch, d1, tri=d1_tri)
+    pushed = pushoff(touch, d1)
     assert not pushed.closure
     assert validate_path(pushed, d1).ok
     # nudged off the hole's top edge into the over class
     assert homotopic(pushed, over_path, d1_tri)
 
 
-def test_pushoff_of_strict_path_is_identity(d1, d1_tri, over_path):
-    pushed = pushoff(over_path, d1, tri=d1_tri)
+def test_pushoff_of_strict_path_is_identity(d1, over_path):
+    pushed = pushoff(over_path, d1)
     assert pushed.vertices == over_path.vertices
 
 
@@ -251,7 +251,7 @@ def test_inward_directions_match_probe():
 def test_word_of_handles_closure_members(d1_tri):
     touch = PathPoly(GOLDEN_OVER, closure=True)
     w = word_of(touch, d1_tri)
-    pushed = pushoff(touch, d1_tri.domain, tri=d1_tri)
+    pushed = pushoff(touch, d1_tri.domain)
     assert canonical_class_key(w, d1_tri, touch.start, touch.end) == \
         canonical_class_key(
             crossing_word(pushed, d1_tri), d1_tri, touch.start, touch.end
@@ -268,5 +268,5 @@ def test_general_position_triangulation_usable(d1, over_path, under_path):
 def test_general_position_triangulation_pushes_off_closure_paths(d1):
     touch = PathPoly(GOLDEN_OVER, closure=True)
     tri, (form,), (word,) = general_position_triangulation(d1, [touch])
-    assert form == pushoff(touch, d1, tri=tri)
+    assert form == pushoff(touch, d1)
     assert word.letters == crossing_word(form, tri).letters

@@ -6,9 +6,10 @@ import random
 import pytest
 
 from tautpath.domain import triangulate
-from tautpath.geom import Pt, LineSpec, rat, polyline_length, dedupe_collinear
+from tautpath.geom import Pt, LineSpec, rat, polyline_length, dedupe_collinear, on_segment
 from tautpath.homotopy import (
     PathPoly,
+    validate_path,
     word_of,
     build_sleeve,
     line_lifts,
@@ -267,33 +268,90 @@ def test_straight_segment_needs_no_moves(d1):
     assert rep.moves == []
 
 
-# --- triangulation seed fallback ---
+# --- degenerate positions ---
 
-# the middle vertex lies on an interior edge under seeds 0 and 1
-SEED2_PATH = [(-4, -3), (0, -3), (3, 2)]
-# general position under none of the three seeds
-NO_SEED_PATH = [(-3, -2), (-2, 3), (3, 3), (3, -2)]
+# the end lies on an interior edge of the d1 triangulation
+ON_EDGE_PATH = [(-4, -3), (0, -3), (3, 2)]
+# two vertices on interior edges
+DEGENERATE_PATH = [(-3, -2), (-2, 3), (3, 3), (3, -2)]
+# the index triples of a second triangulation of d1, with other diagonals
+D1_OTHER_TRIS = [(2, 3, 5), (2, 5, 6), (2, 6, 7), (4, 5, 3), (4, 3, 0), (4, 0, 1), (1, 2, 7), (1, 7, 4)]
 
 
-def test_tighten_falls_back_to_a_later_seed(d1):
-    from tautpath.domain import triangulate
-    from tautpath.homotopy import NotGeneralPosition, crossing_word
+def _grid_paths(d, count):
+    """Paths of 2-5 integer vertices in [-5, 5]^2 that stay in the closed
+    domain; in d1 many have vertices on diagonals, on boundary edges or at
+    corners."""
+    rng = random.Random(5)
+    out = []
+    while len(out) < count:
+        pts = [(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(rng.randint(2, 5))]
+        if validate_path(PathPoly(pts, closure=True), d).ok:
+            out.append(PathPoly(pts))
+    return out
 
-    p = PathPoly(SEED2_PATH)
-    for seed in (0, 1):
-        with pytest.raises(NotGeneralPosition):
-            crossing_word(p, triangulate(d1, seed=seed))
+
+def test_tighten_path_with_an_end_on_an_interior_edge(d1, d1_tri):
+    p = PathPoly(ON_EDGE_PATH)
+    u, v = d1_tri.edge_pts((2, 7))
+    assert (2, 7) in d1_tri.interior_edges and on_segment(p.end, u, v)
     rep = tighten(p, d1, TightenOptions(certify_lines=200))
     assert rep.path.vertices == as_pts([(-4, -3), (1, -1), (3, 2)])
     assert rep.certificate.ok
     assert funnel_shortest(rep.sleeve, p.start, p.end) == rep.path.vertices
-    # without a triangulation the certificate picks its own seed
     assert certify_efficient(rep.path, d1, lines=200).ok
 
 
-@pytest.mark.xfail(strict=True, reason="no triangulation seed puts this path in general position")
 def test_tighten_path_in_no_general_position(d1):
-    tighten(PathPoly(NO_SEED_PATH), d1)
+    rep = tighten(PathPoly(DEGENERATE_PATH), d1, TightenOptions(certify_lines=100))
+    assert rep.path.vertices == as_pts([(-3, -2), (-1, 1), (1, 1), (3, -2)])
+    assert rep.certificate.ok
+
+
+def test_path_from_a_corner_starts_in_its_fan(d1):
+    # the first edge leaves the corner (-5, -5) between two diagonals there
+    p = PathPoly([(-5, -5), (0, -4), (3, -4)])
+    rep = tighten(p, d1, TightenOptions(certify_lines=100))
+    assert rep.path.vertices == as_pts([(-5, -5), (3, -4)])
+    assert rep.certificate.ok
+
+
+def test_path_along_a_boundary_edge_is_pushed_off(d1):
+    p = PathPoly([(0, -5), (-3, -5)])
+    assert homotopic(p, PathPoly([(0, -5), (-1, -4), (-3, -5)]), triangulate(d1))
+    rep = tighten(p, d1, TightenOptions(certify_lines=100))
+    assert rep.path.vertices == p.vertices
+    assert rep.certificate.ok
+
+
+def test_funnel_with_an_endpoint_on_a_portal(d1):
+    # (-3, 3) lies on the first portal of this sleeve
+    p = PathPoly([(-3, 3), (-4, -4)])
+    rep = tighten(p, d1)
+    assert on_segment(p.start, *rep.sleeve.portal_pts[0])
+    assert rep.path.vertices == p.vertices
+    assert funnel_shortest(rep.sleeve, p.start, p.end) == p.vertices
+
+
+def test_degenerate_grid_corpus(d1, monkeypatch):
+    """Tight outputs are certified, homotopic to their input, equal to the
+    funnel route and the visibility-graph optimum, and do not depend on the
+    triangulation."""
+    from oracles import vg_shortest_in_class
+    from tautpath import homotopy
+    from tautpath.domain import Triangulation
+
+    paths = _grid_paths(d1, 200)
+    reps = [tighten(p, d1, TightenOptions(certify_lines=20)) for p in paths]
+    other = Triangulation(d1, D1_OTHER_TRIS)
+    monkeypatch.setattr(homotopy, "triangulate", lambda d: other)
+    for p, rep in zip(paths, reps):
+        assert rep.certificate.ok, p.vertices
+        assert homotopic(p, rep.path, rep.tri), p.vertices
+        assert funnel_shortest(rep.sleeve, p.start, p.end) == rep.path.vertices
+        _, olen = vg_shortest_in_class(d1, p, rep.tri)
+        assert relclose(polyline_length(rep.path.vertices), olen), p.vertices
+        assert tighten(p, d1).path.vertices == rep.path.vertices, p.vertices
 
 
 # --- replay ---
@@ -312,7 +370,7 @@ def test_chord_moves_follow_vertex_pair_lines(d1, over_path, loop_path):
     from conftest import instance_batch
     from tautpath.geom import line_side
 
-    cases = [(d1, over_path), (d1, loop_path), (d1, PathPoly(SEED2_PATH))]
+    cases = [(d1, over_path), (d1, loop_path), (d1, PathPoly(ON_EDGE_PATH))]
     cases += [(inst["domain"], inst["path"]) for inst in instance_batch(8, seed0=40)]
     for d, p in cases:
         rep = tighten(p, d, TightenOptions(seed=0))
