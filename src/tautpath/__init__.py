@@ -10,6 +10,7 @@ shorter from longer).
 """
 
 from .domain import (
+    InvalidPath,
     Location,
     PolygonalDomain,
     Triangulation,
@@ -31,10 +32,10 @@ from .homotopy import (
     build_sleeve,
     canonical_class_key,
     crossing_word,
-    general_position_triangulation,
     homotopic,
     pushoff,
     reduce_word,
+    strict_form,
     validate_path,
     word_of,
 )
@@ -42,7 +43,6 @@ from .pathlen import LenValue, len_compare, path_len
 from .tighten import (
     CertificateSummary,
     ChordMismatch,
-    InvalidPath,
     Move,
     NonTerminating,
     TightenOptions,
@@ -84,7 +84,6 @@ __all__ = [
     "certify_efficient",
     "crossing_word",
     "funnel_shortest",
-    "general_position_triangulation",
     "homotopic",
     "len_compare",
     "locally_shortest_check",
@@ -95,6 +94,7 @@ __all__ = [
     "rat",
     "reduce_word",
     "signed_area2",
+    "strict_form",
     "tighten",
     "triangulate",
     "validate",

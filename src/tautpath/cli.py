@@ -23,7 +23,6 @@ from .homotopy import (
     NotGeneralPosition,
     PathPoly,
     WordError,
-    general_position_triangulation,
     homotopic,
     validate_path,
 )
@@ -393,8 +392,7 @@ def _cmd_homotopic(args) -> int:
     if da.outer != db.outer or da.holes != db.holes:
         print("instances describe different domains")
         return 1
-    tri = general_position_triangulation(da, [])[0]
-    print("homotopic" if homotopic(a["path"], b["path"], tri) else "not homotopic")
+    print("homotopic" if homotopic(a["path"], b["path"], triangulate(da)) else "not homotopic")
     return 0
 
 
@@ -414,6 +412,10 @@ def _cmd_gen(args) -> int:
     else:
         sys.stdout.write(text)
     return 0
+
+
+# the least value each integer option accepts
+_MINIMA = {"certify_lines": 0, "kmax": 1, "refine": 0, "holes": 0, "vertices": 3}
 
 
 def main(argv=None) -> int:
@@ -449,6 +451,10 @@ def main(argv=None) -> int:
     g.add_argument("--out", metavar="FILE")
 
     args = ap.parse_args(argv)
+    for name, least in _MINIMA.items():
+        if getattr(args, name, least) < least:
+            print(f"error: --{name.replace('_', '-')} must be at least {least}", file=sys.stderr)
+            return 1
     handlers = {
         "validate": _cmd_validate,
         "tighten": _cmd_tighten,

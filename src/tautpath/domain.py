@@ -14,7 +14,6 @@ from typing import Optional
 from .geom import (
     Pt,
     Segment,
-    cross,
     dist2,
     lerp,
     on_segment,
@@ -27,7 +26,11 @@ from .geom import (
 
 
 class TriangulationError(Exception):
-    pass
+    """Internal defect: the triangulation of a valid domain failed."""
+
+
+class InvalidPath(Exception):
+    """Input path or domain fails validation."""
 
 
 def signed_area2(ring):
@@ -48,13 +51,15 @@ def _ring_edges(ring):
 
 class PolygonalDomain:
     """Outer ring minus holes; rings are vertex lists without a repeated
-    closing vertex."""
+    closing vertex.  Do not change a domain after its first use: its
+    validation, triangulation and feature size are memoized on it."""
 
     def __init__(self, outer, holes=()):
         self.outer = [p if isinstance(p, Pt) else Pt(*p) for p in outer]
         self.holes = [[p if isinstance(p, Pt) else Pt(*p) for p in h] for h in holes]
         self._feature2 = None
         self._report = None
+        self._tri = None
 
     @classmethod
     def from_coords(cls, outer, holes=()):
@@ -244,24 +249,6 @@ def locate(d: PolygonalDomain, p: Pt) -> Location:
     return Location("interior")
 
 
-def enters_domain(d: PolygonalDomain, loc: Location, c: Pt) -> bool:
-    """Whether direction c from the boundary point at `loc` enters the open
-    domain.  The domain lies left of every directed ring edge, so at an
-    edge point c must be strictly left of the edge, and at a vertex v with
-    ring neighbours a (before) and b (after) strictly inside the open
-    counterclockwise sweep from b - v to a - v."""
-    ring = d.ring(loc.ring)
-    i, n = loc.index, len(ring)
-    if loc.feature == "edge":
-        return cross(ring[(i + 1) % n] - ring[i], c) > 0
-    v = ring[i]
-    to_b, to_a = ring[(i + 1) % n] - v, ring[i - 1] - v
-    past_b, before_a = cross(to_b, c) > 0, cross(c, to_a) > 0
-    if cross(to_b, to_a) >= 0:  # the sweep is at most a half turn
-        return past_b and before_a
-    return past_b or before_a
-
-
 class Triangulation:
     """Triangle mesh over the closure of the domain.
 
@@ -405,10 +392,17 @@ def _merge_holes(d: PolygonalDomain):
 
 def triangulate(d: PolygonalDomain) -> Triangulation:
     """Deterministic: the shortest visible bridges, then ears clipped in
-    ring order."""
-    report = validate(d)
-    if not report.ok:
-        raise TriangulationError("invalid domain: " + "; ".join(report.violations))
+    ring order.  Memoized on the domain; an invalid domain raises
+    InvalidPath."""
+    if d._tri is None:
+        report = validate(d)
+        if not report.ok:
+            raise InvalidPath("domain: " + "; ".join(report.violations))
+        d._tri = _triangulate(d)
+    return d._tri
+
+
+def _triangulate(d: PolygonalDomain) -> Triangulation:
     ring = _merge_holes(d)
     pos = d.verts
     nodes = list(ring)

@@ -7,16 +7,16 @@ words classify homotopy classes rel endpoints (after a normalization at
 endpoints that sit on triangulation vertices), the sleeve of a reduced
 word is the chain of triangle copies the class runs through, and lifted
 chords are the pieces of a line's preimage inside that sleeve.  Paths
-that touch the boundary are compared via a small inward pushoff.
+that touch the boundary are compared via a small inward pushoff, their
+strict form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
-from .domain import PolygonalDomain, Triangulation, ValidationReport, enters_domain, locate, triangulate, validate
+from .domain import InvalidPath, PolygonalDomain, Triangulation, ValidationReport, locate
 from .geom import (
     LineSpec,
     Pt,
@@ -40,10 +40,6 @@ class NotGeneralPosition(Exception):
 
 class EndpointMismatch(Exception):
     pass
-
-
-class InvalidPath(Exception):
-    """Input path or domain fails validation."""
 
 
 class WordError(Exception):
@@ -384,29 +380,22 @@ def canonical_class_key(word: CrossingWord, tri: Triangulation, p: Pt, q: Pt):
     return (start, reduce_word(letters))
 
 
-def _is_strict(path: PathPoly, d: PolygonalDomain) -> bool:
-    """True when the path lies in the open domain, False when it touches
-    the boundary.  Raises InvalidPath when it leaves the closed domain."""
-    if validate_path(PathPoly(path.vertices, closure=False), d).ok:
-        return True
+def strict_form(path: PathPoly, d: PolygonalDomain) -> PathPoly:
+    """The path itself (closure=False) when it lies in the open domain,
+    else its pushoff.  Raises InvalidPath when it leaves the closed
+    domain."""
+    strict = PathPoly(path.vertices, closure=False)
+    if validate_path(strict, d).ok:
+        return strict
     rep = validate_path(PathPoly(path.vertices, closure=True), d)
     if not rep.ok:
         raise InvalidPath("path: " + "; ".join(rep.violations))
-    return False
-
-
-def _strict_form(path: PathPoly, d: PolygonalDomain, tri: Triangulation, strict: bool):
-    """(strict form, raw crossing word): the path itself when `strict`
-    (see `_is_strict`), else its pushoff."""
-    if strict:
-        form = PathPoly(path.vertices, closure=False)
-        return form, crossing_word(form, tri)
-    return _pushoff_word(path, d, tri)
+    return pushoff(path, d)
 
 
 def word_of(path: PathPoly, tri: Triangulation) -> CrossingWord:
-    """Crossing word of a path; closure members are pushed inward first."""
-    return _strict_form(path, tri.domain, tri, _is_strict(path, tri.domain))[1]
+    """Crossing word of a path's strict form."""
+    return crossing_word(strict_form(path, tri.domain), tri)
 
 
 def homotopic(p1: PathPoly, p2: PathPoly, tri: Triangulation) -> bool:
@@ -417,20 +406,6 @@ def homotopic(p1: PathPoly, p2: PathPoly, tri: Triangulation) -> bool:
     k1 = canonical_class_key(w1, tri, p1.start, p1.end)
     k2 = canonical_class_key(w2, tri, p2.start, p2.end)
     return k1 == k2
-
-
-def general_position_triangulation(d: PolygonalDomain, paths):
-    """(tri, strict forms, raw words): the domain's triangulation and, for
-    each path, its strict form (see `word_of`) and crossing word.  An
-    invalid domain, or a path that leaves the closed domain, raises
-    InvalidPath."""
-    rep = validate(d)
-    if not rep.ok:
-        raise InvalidPath("domain: " + "; ".join(rep.violations))
-    regimes = [_is_strict(p, d) for p in paths]
-    tri = triangulate(d)
-    forms = [_strict_form(p, d, tri, s) for p, s in zip(paths, regimes)]
-    return tri, [f for f, _ in forms], [w for _, w in forms]
 
 
 class Sleeve:
@@ -582,8 +557,6 @@ def _left_normal(a: Pt, b: Pt) -> Pt:
 
 def _inf_normalize(v: Pt) -> Pt:
     m = max(abs(v.x), abs(v.y))
-    if m == 0:
-        return v
     return Pt(v.x / m, v.y / m)
 
 
@@ -608,35 +581,23 @@ def boundary_contact_params(path: PathPoly, d: PolygonalDomain):
     return out
 
 
-def _inward_candidates(d: PolygonalDomain, loc):
+def _inward_direction(d: PolygonalDomain, loc) -> Pt:
+    """A direction from the boundary point at `loc` into the open domain,
+    which lies left of every directed ring edge.  At an edge point it is
+    the edge's left normal.  At a vertex v with ring neighbours a (before)
+    and b (after) it is the sum of the directions to a and b, reversed at
+    a reflex corner, or the left normal of v -> b at a straight one."""
     ring = d.ring(loc.ring)
-    n = len(ring)
+    i, n = loc.index, len(ring)
     if loc.feature == "edge":
-        return [_left_normal(ring[loc.index], ring[(loc.index + 1) % n])]
-    i = loc.index
-    n1 = _left_normal(ring[(i - 1) % n], ring[i])
-    n2 = _left_normal(ring[i], ring[(i + 1) % n])
-    cands = []
-    # asymmetric mixes cover corners where the straight bisector or either
-    # plain normal is blocked
-    for a, b in ((1, 1), (2, 1), (1, 2), (1, 0), (0, 1), (3, 1), (1, 3)):
-        s = n1.scaled(rat(a)) + n2.scaled(rat(b))
-        if s.x == 0 and s.y == 0:
-            continue
-        s = _inf_normalize(s)
-        if s not in cands:
-            cands.append(s)
-    return cands
-
-
-def _inward_direction(d: PolygonalDomain, loc):
-    # reflex corners can defeat the bisector; take the first candidate, or
-    # reverse, that enters the open domain
-    cands = _inward_candidates(d, loc)
-    for c in cands + [c.scaled(rat(-1)) for c in cands]:
-        if enters_domain(d, loc, c):
-            return c
-    raise NotGeneralPosition("no inward direction found at a boundary contact")
+        return _left_normal(ring[i], ring[(i + 1) % n])
+    v, b = ring[i], ring[(i + 1) % n]
+    to_a, to_b = _inf_normalize(ring[i - 1] - v), _inf_normalize(b - v)
+    turn = cross(to_b, to_a)
+    if turn == 0:
+        return _left_normal(v, b)
+    mid = to_a + to_b
+    return mid if turn > 0 else mid.scaled(rat(-1))
 
 
 def _clearance2(path: PathPoly, d: PolygonalDomain):
@@ -662,17 +623,6 @@ def _clearance2(path: PathPoly, d: PolygonalDomain):
     return best
 
 
-def pushoff(path: PathPoly, d: PolygonalDomain) -> PathPoly:
-    """Strict-regime representative of a closure path: every boundary
-    contact becomes a vertex nudged into the open domain.
-
-    The nudge is smaller than half the domain feature size and half the
-    path's clearance off the boundary, which keeps the result in the same
-    class closure.
-    """
-    return _pushoff_word(path, d)[0]
-
-
 def _with_contacts(path: PathPoly, d: PolygonalDomain) -> list:
     """The path's vertices with every boundary contact inserted; pushoff
     moves these points index by index."""
@@ -689,9 +639,14 @@ def _with_contacts(path: PathPoly, d: PolygonalDomain) -> list:
     return pts
 
 
-def _pushoff_word(path: PathPoly, d: PolygonalDomain, tri: Optional[Triangulation] = None):
-    """(pushed strict path, its raw crossing word under `tri`, or None
-    without one)."""
+def pushoff(path: PathPoly, d: PolygonalDomain) -> PathPoly:
+    """Strict-regime representative of a closure path: every boundary
+    contact becomes a vertex nudged into the open domain.
+
+    The nudge is smaller than half the domain feature size and half the
+    path's clearance off the boundary, which keeps the result in the same
+    class closure.
+    """
     pts = _with_contacts(path, d)
     fs = float(d.feature_size2())
     cl = _clearance2(path, d)
@@ -709,5 +664,5 @@ def _pushoff_word(path: PathPoly, d: PolygonalDomain, tri: Optional[Triangulatio
         scale = eps / 2**k
         cand = PathPoly([p if c is None else p + c.scaled(scale) for p, c in zip(pts, dirs)])
         if validate_path(cand, d).ok:
-            return cand, None if tri is None else crossing_word(cand, tri)
+            return cand
     raise NotGeneralPosition("pushoff failed to find a strict representative")

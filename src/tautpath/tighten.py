@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .domain import PolygonalDomain, Triangulation
+from .domain import PolygonalDomain, Triangulation, triangulate
 from .geom import (
     LineSpec,
     Pt,
@@ -43,10 +43,10 @@ from .homotopy import (
     WordError,
     build_sleeve,
     crossing_word,
-    general_position_triangulation,
     line_lifts,
+    strict_form,
 )
-from .homotopy import _is_strict, _strict_form, _with_contacts
+from .homotopy import _with_contacts
 
 
 class ChordMismatch(Exception):
@@ -367,9 +367,11 @@ def tighten(path, domain: PolygonalDomain, options: Optional[TightenOptions] = N
     t0 = time.perf_counter()
     opt = options or TightenOptions()
     p = path if isinstance(path, PathPoly) else PathPoly(path)
-    # the chooser raises InvalidPath for an invalid domain or a path that
-    # leaves it
-    tri, (strict_p,), (word,) = general_position_triangulation(domain, [p])
+    # InvalidPath comes from triangulate for an invalid domain, and from
+    # strict_form for a path that leaves it
+    tri = triangulate(domain)
+    strict_p = strict_form(p, domain)
+    word = crossing_word(strict_p, tri)
 
     moves: list = []
     trace = [polyline_length(strict_p.vertices)]
@@ -400,9 +402,7 @@ def tighten(path, domain: PolygonalDomain, options: Optional[TightenOptions] = N
     out = PathPoly(out_pts, closure=True)
     cert = None
     if opt.certify_lines:
-        cert = certify_efficient(
-            out, domain, tri=tri, lines=opt.certify_lines, seed=opt.seed, _pre=(sleeve, spath)
-        )
+        cert = certify_efficient(out, domain, lines=opt.certify_lines, seed=opt.seed, _pre=(sleeve, spath))
     return TightenReport(
         path=out,
         tri=tri,
@@ -503,13 +503,12 @@ def _position_closure_path(pts, sleeve: Sleeve):
     return pos
 
 
-def _as_sleeve_path(path: PathPoly, d: PolygonalDomain, tri: Optional[Triangulation] = None):
+def _as_sleeve_path(path: PathPoly, d: PolygonalDomain):
     """(sleeve, sleeve path) for an arbitrary valid path, rebuilding the
     class data from scratch."""
-    if tri is None:
-        tri, (strict_p,), (word,) = general_position_triangulation(d, [path])
-    else:
-        strict_p, word = _strict_form(path, d, tri, _is_strict(path, d))
+    tri = triangulate(d)
+    strict_p = strict_form(path, d)
+    word = crossing_word(strict_p, tri)
     # prefer the path as given, with its boundary contacts as vertices; the
     # strict form differs from the given path exactly when it was pushed off
     real = list(path.vertices) if strict_p.vertices == path.vertices else _with_contacts(path, d)
@@ -556,7 +555,6 @@ def _taut_vertex_violations(pts, d: PolygonalDomain):
 def certify_efficient(
     path,
     d: PolygonalDomain,
-    tri: Optional[Triangulation] = None,
     lines: int = 1000,
     seed=0,
     stop_after: Optional[int] = None,
@@ -570,7 +568,7 @@ def certify_efficient(
     if _pre is not None:
         sleeve, spath = _pre
     else:
-        sleeve, spath = _as_sleeve_path(p, d, tri)
+        sleeve, spath = _as_sleeve_path(p, d)
     fam = _family_lines(sleeve.tri, [p.start, p.end])
     rnd = _random_lines(d, lines, seed)
     seen = set()
@@ -606,12 +604,11 @@ def locally_shortest_check(
     d: PolygonalDomain,
     grid: int = 8,
     tol: float = 1e-9,
-    tri: Optional[Triangulation] = None,
 ) -> bool:
     """True when every grid subpath is as short as the funnel optimum
     between its endpoints in the sub-sleeve."""
     p = path if isinstance(path, PathPoly) else PathPoly(path, closure=True)
-    sleeve, spath = _as_sleeve_path(p, d, tri)
+    sleeve, spath = _as_sleeve_path(p, d)
     E = len(spath.verts) - 1
     if E == 0:
         return True

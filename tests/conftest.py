@@ -21,6 +21,12 @@ def d1():
 
 
 @pytest.fixture(scope="session")
+def d1_straight(d1):
+    """d1 with a straight corner of the outer ring at (0, -5)."""
+    return PolygonalDomain([(-5, -5), (0, -5), (5, -5), (5, 5), (-5, 5)], d1.holes)
+
+
+@pytest.fixture(scope="session")
 def d1_tri(d1):
     return triangulate(d1)
 

@@ -7,8 +7,8 @@ pull-tight engine, so agreement between the two is evidence rather than
 tautology.
 
 `probe_taut_vertex_violations` and `probe_enters_domain` decide the
-certificate's corner rule and the push-off's inward test by probing the
-domain a tiny step away instead of reading the corner's two edges.
+certificate's corner rule and the push-off's inward direction by probing
+the domain a tiny step away instead of reading the corner's two edges.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from tautpath import PathPoly, general_position_triangulation, validate_path
+from tautpath import PathPoly, triangulate, validate_path
 from tautpath.domain import locate
 from tautpath.geom import Pt, dist2, lerp, orient, polyline_length, rat, seg_length
 from tautpath.homotopy import canonical_class_key, word_of
@@ -33,7 +33,7 @@ def vg_shortest_in_class(d, path: PathPoly, tri=None):
     (vertices, length).  Only single-visit walks are searched, which
     covers every class whose taut form does not rewrap a corner."""
     if tri is None:
-        tri = general_position_triangulation(d, [path])[0]
+        tri = triangulate(d)
     target = _class_key(path, tri)
     p, q = path.start, path.end
 
@@ -118,7 +118,7 @@ def probe_taut_vertex_violations(pts, d):
 
 
 def probe_enters_domain(d, p, c):
-    """Reference for `enters_domain`: whether a step along c from the
+    """Reference for `_inward_direction`: whether a step along c from the
     boundary point p, far below the domain's feature size, lands in the
     open domain."""
     step = rat(1)

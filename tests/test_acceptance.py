@@ -20,11 +20,10 @@ from conftest import (
 )
 from oracles import vg_shortest_in_class
 from tautpath import PathPoly, PolygonalDomain
-from tautpath.domain import locate, validate
+from tautpath.domain import locate, triangulate, validate
 from tautpath.geom import Pt, dedupe_collinear, orient, polyline_length
 from tautpath.homotopy import (
     build_sleeve,
-    general_position_triangulation,
     homotopic,
     validate_path,
     word_of,
@@ -222,9 +221,7 @@ def test_criterion_4_line_certificates(insts20, tight20, perturbed100):
     crit_attempt(4)
     sampled_min = None
     for i, (inst, rep) in enumerate(zip(insts20, tight20)):
-        cert = certify_efficient(
-            rep.path, inst["domain"], tri=rep.tri, lines=1000, seed=700 + i
-        )
+        cert = certify_efficient(rep.path, inst["domain"], lines=1000, seed=700 + i)
         assert cert.lines_sampled >= 1000, inst["name"]
         assert cert.violations == [], inst["name"]
         assert cert.taut_vertices_ok, inst["name"]
@@ -272,9 +269,7 @@ def test_criterion_5_persistence_replay(batch200, insts20, tight20, d1):
 def test_criterion_6_local_shortness(insts20, tight20, perturbed100):
     crit_attempt(6)
     for inst, rep in zip(insts20, tight20):
-        assert locally_shortest_check(
-            rep.path, inst["domain"], grid=12, tol=1e-9, tri=rep.tri
-        ), inst["name"]
+        assert locally_shortest_check(rep.path, inst["domain"], grid=12, tol=1e-9), inst["name"]
     for inst, rep, pert in perturbed100:
         assert not locally_shortest_check(pert, inst["domain"], grid=12, tol=1e-9), inst["name"]
     crit_pass(6, "grid-12 probe true on 20 tightened outputs, false on all 100 perturbed")
@@ -409,8 +404,7 @@ def test_criterion_8_tight_beats_samples():
         rng = random.Random(7500 + s)
         for _ in range(20):
             samp = _excursion(d, path.start, path.end, rng)
-            tri = general_position_triangulation(d, [rep.path, samp])[0]
-            assert homotopic(rep.path, samp, tri)
+            assert homotopic(rep.path, samp, triangulate(d))
             ls = path_len(subdivide(samp, 0.04), k_max=6, refine=0)
             assert lt.upper < ls.value
             worst = min(worst, ls.value - lt.upper)

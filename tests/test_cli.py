@@ -195,6 +195,24 @@ def test_tighten_requires_path(tmp_path, capsys):
     assert main(["tighten", str(fp)]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["len", "{fp}", "--kmax", "0"], "--kmax"),
+        (["len", "{fp}", "--refine", "-1"], "--refine"),
+        (["tighten", "{fp}", "--certify-lines", "-5"], "--certify-lines"),
+        (["gen", "--vertices", "2"], "--vertices"),
+        (["gen", "--holes", "-2"], "--holes"),
+    ],
+)
+def test_out_of_range_options_rejected(tmp_path, capsys, argv, option):
+    fp = write_d1(tmp_path)
+    assert main([a.format(fp=fp) for a in argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {option} must be at least")
+
+
 def test_no_stray_tmp_files(tmp_path):
     fp = write_d1(tmp_path)
     main(["tighten", fp, "--json", str(tmp_path / "r.json"), "--svg", str(tmp_path / "p.svg")])

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import instance_batch
 from tautpath import (
+    InvalidPath,
     PolygonalDomain,
-    TriangulationError,
     locate,
     signed_area2,
     triangulate,
@@ -125,7 +125,7 @@ def test_locate_agrees_with_triangulation_on_batch():
 
 def test_triangulate_rejects_invalid():
     bow = [(0, 0), (4, 4), (4, 0), (0, 4)]
-    with pytest.raises(TriangulationError):
+    with pytest.raises(InvalidPath, match="^domain: "):
         triangulate(PolygonalDomain.from_coords(bow, []))
 
 

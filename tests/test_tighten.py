@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import pytest
 
@@ -324,6 +325,16 @@ def test_path_along_a_boundary_edge_is_pushed_off(d1):
     assert rep.certificate.ok
 
 
+def test_path_through_a_straight_corner(d1_straight):
+    from tautpath.homotopy import pushoff
+
+    p = PathPoly([(-3, -2), (0, -5), (3, -2)])
+    assert pushoff(p, d1_straight).vertices == as_pts([(-3, -2), (0, rat(-19) / 4), (3, -2)])
+    rep = tighten(p, d1_straight, TightenOptions(certify_lines=100))
+    assert rep.path.vertices == as_pts([(-3, -2), (3, -2)])
+    assert rep.certificate.ok
+
+
 def test_funnel_with_an_endpoint_on_a_portal(d1):
     # (-3, 3) lies on the first portal of this sleeve
     p = PathPoly([(-3, 3), (-4, -4)])
@@ -338,20 +349,40 @@ def test_degenerate_grid_corpus(d1, monkeypatch):
     funnel route and the visibility-graph optimum, and do not depend on the
     triangulation."""
     from oracles import vg_shortest_in_class
-    from tautpath import homotopy
     from tautpath.domain import Triangulation
 
     paths = _grid_paths(d1, 200)
     reps = [tighten(p, d1, TightenOptions(certify_lines=20)) for p in paths]
     other = Triangulation(d1, D1_OTHER_TRIS)
-    monkeypatch.setattr(homotopy, "triangulate", lambda d: other)
+    # `from tautpath import tighten` gives the function, not the module
+    monkeypatch.setattr(sys.modules["tautpath.tighten"], "triangulate", lambda d: other)
     for p, rep in zip(paths, reps):
         assert rep.certificate.ok, p.vertices
         assert homotopic(p, rep.path, rep.tri), p.vertices
         assert funnel_shortest(rep.sleeve, p.start, p.end) == rep.path.vertices
         _, olen = vg_shortest_in_class(d1, p, rep.tri)
         assert relclose(polyline_length(rep.path.vertices), olen), p.vertices
-        assert tighten(p, d1).path.vertices == rep.path.vertices, p.vertices
+        again = tighten(p, d1)
+        assert again.tri is other
+        assert again.path.vertices == rep.path.vertices, p.vertices
+
+
+# --- one triangulation per domain ---
+
+
+def test_triangulation_is_memoized_on_the_domain(d1, over_path, monkeypatch):
+    from tautpath import domain
+    from tautpath.domain import PolygonalDomain
+
+    assert triangulate(d1) is triangulate(d1)
+    assert tighten(over_path, d1).tri is triangulate(d1)
+    built = []
+    ear_clip = domain._triangulate
+    monkeypatch.setattr(domain, "_triangulate", lambda d: built.append(d) or ear_clip(d))
+    fresh = PolygonalDomain(d1.outer, d1.holes)
+    tighten(over_path, fresh)
+    tighten(PathPoly(GOLDEN_UNDER), fresh)
+    assert built == [fresh]
 
 
 # --- replay ---
@@ -398,11 +429,10 @@ def test_path_through_hole_rejected(d1):
 
 def test_invalid_domain_rejected():
     from tautpath.domain import PolygonalDomain
-    from tautpath.homotopy import general_position_triangulation
 
     bowtie = PolygonalDomain([(0, 0), (4, 4), (4, 0), (0, 4)], [])
     p = PathPoly([(1, 1), (2, 1)])
-    for check in (tighten, certify_efficient, lambda p, d: general_position_triangulation(d, [p])):
+    for check in (tighten, certify_efficient, lambda p, d: triangulate(d)):
         with pytest.raises(InvalidPath, match="^domain: "):
             check(p, bowtie)
 
