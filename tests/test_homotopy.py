@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tautpath.domain import locate
+from tautpath.domain import locate, triangulate
 from tautpath.geom import Pt, Segment, LineSpec, lerp, rat, segments_intersect
 from tautpath.homotopy import (
     PathPoly,
@@ -254,6 +254,24 @@ def test_word_of_handles_closure_members(d1_tri):
         canonical_class_key(
             crossing_word(pushed, d1_tri), d1_tri, touch.start, touch.end
         )
+
+
+def test_general_position_triangulation_usable(d1, over_path, under_path):
+    # one memoized triangulation serves the strict forms of several paths
+    tri = triangulate(d1)
+    assert triangulate(d1) is tri
+    forms = [strict_form(p, d1) for p in (over_path, under_path)]
+    assert forms == [over_path, under_path]
+    for p, form in zip((over_path, under_path), forms):
+        assert word_of(p, tri).letters == crossing_word(form, tri).letters
+
+
+def test_general_position_triangulation_pushes_off_closure_paths(d1):
+    touch = PathPoly(GOLDEN_OVER, closure=True)
+    tri = triangulate(d1)
+    form = strict_form(touch, d1)
+    assert form == pushoff(touch, d1)
+    assert word_of(touch, tri).letters == crossing_word(form, tri).letters
 
 
 def test_strict_form(d1, over_path):
