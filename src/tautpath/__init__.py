@@ -24,7 +24,6 @@ from .geom import GeomError, LineSpec, Pt, Segment, polyline_length, rat
 from .homotopy import (
     CrossingWord,
     EndpointMismatch,
-    NotGeneralPosition,
     PathPoly,
     Sleeve,
     SleevePath,
@@ -33,7 +32,6 @@ from .homotopy import (
     canonical_class_key,
     crossing_word,
     homotopic,
-    pushoff,
     reduce_word,
     strict_form,
     validate_path,
@@ -67,7 +65,6 @@ __all__ = [
     "Location",
     "Move",
     "NonTerminating",
-    "NotGeneralPosition",
     "PathPoly",
     "PolygonalDomain",
     "Pt",
@@ -90,7 +87,6 @@ __all__ = [
     "locate",
     "path_len",
     "polyline_length",
-    "pushoff",
     "rat",
     "reduce_word",
     "signed_area2",

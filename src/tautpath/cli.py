@@ -20,7 +20,6 @@ from .domain import PolygonalDomain, TriangulationError, triangulate, validate
 from .geom import GeomError, Pt, rat
 from .homotopy import (
     EndpointMismatch,
-    NotGeneralPosition,
     PathPoly,
     WordError,
     homotopic,
@@ -269,30 +268,32 @@ def _gen_path(rng: random.Random, d: PolygonalDomain):
     return None
 
 
+def _with_hole(rng: random.Random, d: PolygonalDomain):
+    """d plus one random hole that keeps it valid, or None after 400 tries.
+    The domain returned has been validated, and keeps that memo."""
+    for _ in range(400):
+        cand = _gen_hole(rng)
+        if cand is None:
+            continue
+        trial = PolygonalDomain(d.outer, d.holes + [cand])
+        if validate(trial).ok:
+            return trial
+    return None
+
+
 def generate_instance(seed: int, holes: int = 1, vertices: int = 10) -> dict:
     rng = random.Random(1000003 * seed + 17)
     for _ in range(300):
         outer = _gen_outer(rng, vertices)
-        if len(outer) < 3 or not validate(PolygonalDomain(outer)).ok:
+        d = PolygonalDomain(outer)
+        if len(outer) < 3 or not validate(d).ok:
             continue
-        hs = []
-        failed = False
         for _ in range(holes):
-            got = None
-            for _ in range(400):
-                cand = _gen_hole(rng)
-                if cand is None:
-                    continue
-                if validate(PolygonalDomain(outer, hs + [cand])).ok:
-                    got = cand
-                    break
-            if got is None:
-                failed = True
+            d = _with_hole(rng, d)
+            if d is None:
                 break
-            hs.append(got)
-        if failed:
+        if d is None:
             continue
-        d = PolygonalDomain(outer, hs)
         try:
             triangulate(d)
         except TriangulationError:
@@ -467,7 +468,7 @@ def main(argv=None) -> int:
     except (ParseError, InvalidPath, EndpointMismatch) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (NonTerminating, ChordMismatch, WordError, NotGeneralPosition, TriangulationError, GeomError) as e:
+    except (NonTerminating, ChordMismatch, WordError, TriangulationError, GeomError) as e:
         print(f"internal error: {e}", file=sys.stderr)
         return 2
 

@@ -260,6 +260,8 @@ class Triangulation:
     def __init__(self, d: PolygonalDomain, tris):
         self.domain = d
         self.verts = d.verts
+        self._vert_index = {p: i for i, p in enumerate(self.verts)}
+        self._vert_floats = {(p.fx, p.fy) for p in self.verts}
         self.tris = [tuple(t) for t in tris]
         self._check_and_index()
 
@@ -318,6 +320,13 @@ class Triangulation:
                     stack.append(other)
         if len(seen) != len(self.tris):
             raise TriangulationError("dual graph not connected")
+
+    def vertex_at(self, p: Pt):
+        """Index of the vertex at p, or None.  Equal points have equal
+        floats, so the float screen spares most lookups a Fraction hash."""
+        if (p.fx, p.fy) not in self._vert_floats:
+            return None
+        return self._vert_index.get(p)
 
     def tri_pts(self, ti):
         i, j, k = self.tris[ti]

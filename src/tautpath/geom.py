@@ -295,12 +295,6 @@ def line_param(line: LineSpec, p: Pt):
     return _param_of_g(fr, fr[0] * y - fr[1] * x, w)
 
 
-def line_point(line: LineSpec, t) -> Pt:
-    d = line.direction
-    t = rat(t)
-    return Pt(line.anchor.x + t * d.x, line.anchor.y + t * d.y)
-
-
 def line_hits_segment(line: LineSpec, a: Pt, b: Pt):
     """Intersection of an unbounded line with the closed segment [a, b].
 

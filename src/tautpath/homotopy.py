@@ -1,19 +1,18 @@
 """Homotopy bookkeeping over a fixed triangulation.
 
-A path in the open domain is encoded by its crossing word: the ordered
+A path in the closed domain is encoded by its crossing word: the ordered
 sequence of (interior edge, direction) transversal crossings, with
-degenerate positions decided by an infinitesimal shift.  Reduced
-words classify homotopy classes rel endpoints (after a normalization at
-endpoints that sit on triangulation vertices), the sleeve of a reduced
-word is the chain of triangle copies the class runs through, and lifted
-chords are the pieces of a line's preimage inside that sleeve.  Paths
-that touch the boundary are compared via a small inward pushoff, their
-strict form.
+degenerate positions decided by an infinitesimal shift.  Where the path
+passes a domain corner it is read as passing just inside the domain,
+through the fan of triangles at that corner.  Reduced words classify
+homotopy classes rel endpoints (after a normalization at endpoints that
+sit on triangulation vertices), the sleeve of a reduced word is the
+chain of triangle copies the class runs through, and lifted chords are
+the pieces of a line's preimage inside that sleeve.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .domain import InvalidPath, PolygonalDomain, Triangulation, ValidationReport, locate
@@ -27,15 +26,10 @@ from .geom import (
     line_side,
     on_segment,
     orient,
-    point_seg_dist2,
     rat,
     seg_param,
     segments_intersect,
 )
-
-
-class NotGeneralPosition(Exception):
-    """No strict representative found for a path touching the boundary."""
 
 
 class EndpointMismatch(Exception):
@@ -208,26 +202,33 @@ def _side(u: Pt, v: Pt, x: Pt) -> int:
     return orient(u, v, x) or _tie(v - u)
 
 
-def _stub_tri(tri: Triangulation, m: Pt):
-    """Open triangle holding m + delta, or None when m + delta is outside."""
-    verts = tri.verts
-    for ti, (i, j, k) in enumerate(tri.tris):
+def _stub_tri(tri: Triangulation, m: Pt, cands=None):
+    """Triangle among `cands` (default all) whose open region holds
+    m + delta.  A stub on a boundary edge whose shift leaves the domain
+    takes that edge's only triangle; None when m is outside."""
+    verts, tris = tri.verts, tri.tris
+    cands = range(len(tris)) if cands is None else cands
+    for ti in cands:
+        i, j, k = tris[ti]
         a, b, c = verts[i], verts[j], verts[k]
         if _side(a, b, m) > 0 and _side(b, c, m) > 0 and _side(c, a, m) > 0:
             return ti
+    for ti in cands:
+        i, j, k = tris[ti]
+        for u, v in ((i, j), (j, k), (k, i)):
+            if (min(u, v), max(u, v)) in tri.boundary_edges and on_segment(m, verts[u], verts[v]):
+                return ti
     return None
 
 
 def _start_tri(tri: Triangulation, path: PathPoly, records):
-    """Triangle the path starts in: the one holding its shifted stub (the
-    path before the first crossing).  A constant path at a vertex takes the
-    smallest member of the vertex's fan, and one on a boundary edge whose
-    shift leaves the domain the edge's only triangle."""
+    """Triangle the path starts in: the one holding its stub (the path
+    before the first crossing).  A constant path at a vertex takes the
+    smallest member of the vertex's fan."""
     pts = path.vertices
     if path.is_constant():
-        owners = tri.tri_containing(pts[0])
-        if len(owners) == 1 or (owners and pts[0] in tri.verts):
-            return owners[0]
+        if tri.vertex_at(pts[0]) is not None:
+            return tri.tri_containing(pts[0])[0]
         stub = pts[0]
     elif records and records[0].edge_index == 0:
         stub = lerp(pts[0], pts[1], records[0].t / 2)
@@ -239,23 +240,40 @@ def _start_tri(tri: Triangulation, path: PathPoly, records):
     return start
 
 
+def _corner_letters(tri: Triangulation, vi: int, a: Pt, c: Pt, b: Pt, before, after):
+    """Fan walk of a path that arrives at corner c = verts[vi] from a,
+    with crossings `before` on that edge, and leaves towards b, with
+    crossings `after`.  Each end takes the fan triangle holding the point
+    halfway between c and the edge's nearest crossing or far end."""
+    chain, keys = _fan(tri, vi)
+    t_in = (before[-1].t + 1) / 2 if before else rat(1) / 2
+    t_out = after[0].t / 2 if after else rat(1) / 2
+    i = chain.index(_stub_tri(tri, lerp(a, c, t_in), chain))
+    j = chain.index(_stub_tri(tri, lerp(c, b, t_out), chain))
+    return _fan_walk_letters(tri, chain, keys, i, j)
+
+
 def crossing_word(path: PathPoly, tri: Triangulation) -> CrossingWord:
-    """Raw crossing word of a strict-regime path.  A path edge crosses a
-    diagonal when, with ties broken by the shift delta, its ends lie on
+    """Raw crossing word of a path in the closed domain whose edges hold
+    no domain corner inside them (see strict_form).  A path edge crosses
+    a diagonal when, with ties broken by the shift delta, its ends lie on
     opposite sides of the diagonal and the diagonal's ends on opposite
-    sides of the edge.  The first and last edges skip the diagonals that
-    meet an endpoint sitting on a triangulation vertex."""
+    sides of the edge; an edge skips the diagonals at its ends' corners.
+    The path passes an inner vertex on a corner inside the domain: it
+    crosses the fan diagonals between the triangles it arrives and leaves
+    in, recorded at the end (t = 1) of the arriving edge."""
     pts = path.vertices
-    records = []
-    epts = [tri.edge_pts(k) for k in tri.interior_edges]
-    last_edge = len(pts) - 2
+    corner = [tri.vertex_at(p) for p in pts]
+    edges = [(key, tri.edge_pts(key)) for key in tri.interior_edges]
+    per_edge = []
     for i in range(len(pts) - 1):
         a, b = pts[i], pts[i + 1]
+        ca, cb = corner[i], corner[i + 1]
         lox, hix = min(a.fx, b.fx), max(a.fx, b.fx)
         loy, hiy = min(a.fy, b.fy), max(a.fy, b.fy)
         ab_tie = None
         local = []
-        for eid, (u, v) in enumerate(epts):
+        for eid, (key, (u, v)) in enumerate(edges):
             # rounding to floats keeps order, so disjoint float boxes are disjoint
             if max(u.fx, v.fx) < lox or hix < min(u.fx, v.fx) or max(u.fy, v.fy) < loy or hiy < min(u.fy, v.fy):
                 continue
@@ -266,13 +284,25 @@ def crossing_word(path: PathPoly, tri: Triangulation) -> CrossingWord:
                 ab_tie = -_tie(b - a)
             if (orient(a, b, u) or ab_tie) == (orient(a, b, v) or ab_tie):
                 continue
-            if (i == 0 and a in (u, v)) or (i == last_edge and b in (u, v)):
+            if ca in key or cb in key:
                 continue
             uv = v - u
             t = cross(u - a, uv) / cross(b - a, uv)
             local.append(Crossing(i, t, eid, sa))
         local.sort(key=lambda c: c.t)
+        per_edge.append(local)
+    records = []
+    for i, local in enumerate(per_edge):
         records.extend(local)
+        if i + 1 < len(per_edge) and corner[i + 1] is not None:
+            letters = _corner_letters(tri, corner[i + 1], pts[i], pts[i + 1], pts[i + 2], local, per_edge[i + 1])
+            last = records[-1] if records else None
+            if letters and not local and last and last.edge_index == i - 1 and last.t == 1 and letters[0] == (last.eid, -last.sign):
+                # the edge runs along the diagonal it crosses at both ends:
+                # read it on the side it arrives from
+                records.pop()
+                letters = letters[1:]
+            records.extend(Crossing(i, rat(1), eid, sign) for eid, sign in letters)
     start = _start_tri(tri, path, records)
     letters = [(c.eid, c.sign) for c in records]
     end = walk_triangles(tri, start, letters)[-1] if letters else start
@@ -365,14 +395,14 @@ def canonical_class_key(word: CrossingWord, tri: Triangulation, p: Pt, q: Pt):
     vertices, so the key depends only on the homotopy class."""
     letters = list(word.letters)
     start = word.start_tri
-    vi = next((k for k, v in enumerate(tri.verts) if v == p), None)
+    vi = tri.vertex_at(p)
     if vi is not None:
         chain, keys = _fan(tri, vi)
         s = chain.index(start)
         letters = _fan_walk_letters(tri, chain, keys, 0, s) + letters
         start = chain[0]
     end = walk_triangles(tri, start, letters)[-1]
-    qi = next((k for k, v in enumerate(tri.verts) if v == q), None)
+    qi = tri.vertex_at(q)
     if qi is not None:
         chain, keys = _fan(tri, qi)
         e = chain.index(end)
@@ -381,16 +411,22 @@ def canonical_class_key(word: CrossingWord, tri: Triangulation, p: Pt, q: Pt):
 
 
 def strict_form(path: PathPoly, d: PolygonalDomain) -> PathPoly:
-    """The path itself (closure=False) when it lies in the open domain,
-    else its pushoff.  Raises InvalidPath when it leaves the closed
-    domain."""
+    """The path itself (closure=False) when it lies in the open domain.
+    A path that touches the boundary comes back with closure=True and
+    every domain corner inside one of its edges inserted as a vertex, the
+    form crossing_word reads.  Raises InvalidPath when the path leaves
+    the closed domain."""
     strict = PathPoly(path.vertices, closure=False)
     if validate_path(strict, d).ok:
         return strict
     rep = validate_path(PathPoly(path.vertices, closure=True), d)
     if not rep.ok:
         raise InvalidPath("path: " + "; ".join(rep.violations))
-    return pushoff(path, d)
+    pts = path.vertices[:1]
+    for a, b in zip(path.vertices, path.vertices[1:]):
+        inner = [c for c in d.verts if c != a and c != b and on_segment(c, a, b)]
+        pts += sorted(inner, key=lambda c: seg_param(a, b, c)) + [b]
+    return PathPoly(pts, closure=True)
 
 
 def word_of(path: PathPoly, tri: Triangulation) -> CrossingWord:
@@ -547,122 +583,3 @@ class SleevePath:
 
     def __repr__(self):
         return f"SleevePath({len(self.verts)} verts over {len(self.sleeve)} copies)"
-
-
-def _left_normal(a: Pt, b: Pt) -> Pt:
-    d = b - a
-    m = max(abs(d.x), abs(d.y))
-    return Pt(-d.y / m, d.x / m)
-
-
-def _inf_normalize(v: Pt) -> Pt:
-    m = max(abs(v.x), abs(v.y))
-    return Pt(v.x / m, v.y / m)
-
-
-def boundary_contact_params(path: PathPoly, d: PolygonalDomain):
-    """Per path edge, the sorted exact params where it meets the boundary."""
-    out = []
-    for i in range(len(path.vertices) - 1):
-        a, b = path.vertices[i], path.vertices[i + 1]
-        ts = set()
-        for rid, ring in d.rings():
-            n = len(ring)
-            for j in range(n):
-                c, e = ring[j], ring[(j + 1) % n]
-                kind, data = segments_intersect(Segment(a, b), Segment(c, e))
-                if kind == "touch":
-                    ts.add(seg_param(a, b, data))
-                elif kind == "overlap":
-                    # the midpoint gives an edge lying on the boundary a contact to push
-                    ta, tb = seg_param(a, b, data.a), seg_param(a, b, data.b)
-                    ts.update((ta, tb, (ta + tb) / 2))
-        out.append(sorted(t for t in ts if 0 < t < 1))
-    return out
-
-
-def _inward_direction(d: PolygonalDomain, loc) -> Pt:
-    """A direction from the boundary point at `loc` into the open domain,
-    which lies left of every directed ring edge.  At an edge point it is
-    the edge's left normal.  At a vertex v with ring neighbours a (before)
-    and b (after) it is the sum of the directions to a and b, reversed at
-    a reflex corner, or the left normal of v -> b at a straight one."""
-    ring = d.ring(loc.ring)
-    i, n = loc.index, len(ring)
-    if loc.feature == "edge":
-        return _left_normal(ring[i], ring[(i + 1) % n])
-    v, b = ring[i], ring[(i + 1) % n]
-    to_a, to_b = _inf_normalize(ring[i - 1] - v), _inf_normalize(b - v)
-    turn = cross(to_b, to_a)
-    if turn == 0:
-        return _left_normal(v, b)
-    mid = to_a + to_b
-    return mid if turn > 0 else mid.scaled(rat(-1))
-
-
-def _clearance2(path: PathPoly, d: PolygonalDomain):
-    """Smallest positive squared distance between path edges and boundary
-    edges that do not touch each other."""
-    best = None
-    for i in range(len(path.vertices) - 1):
-        a, b = path.vertices[i], path.vertices[i + 1]
-        for rid, ring in d.rings():
-            n = len(ring)
-            for j in range(n):
-                c, e = ring[j], ring[(j + 1) % n]
-                if segments_intersect(Segment(a, b), Segment(c, e))[0] != "disjoint":
-                    continue
-                m = min(
-                    point_seg_dist2(a, c, e),
-                    point_seg_dist2(b, c, e),
-                    point_seg_dist2(c, a, b),
-                    point_seg_dist2(e, a, b),
-                )
-                if best is None or m < best:
-                    best = m
-    return best
-
-
-def _with_contacts(path: PathPoly, d: PolygonalDomain) -> list:
-    """The path's vertices with every boundary contact inserted; pushoff
-    moves these points index by index."""
-    pts = [path.vertices[0]]
-    contacts = boundary_contact_params(path, d)
-    for i in range(len(path.vertices) - 1):
-        a, b = path.vertices[i], path.vertices[i + 1]
-        for t in contacts[i]:
-            p = lerp(a, b, t)
-            if p != pts[-1]:
-                pts.append(p)
-        if b != pts[-1]:
-            pts.append(b)
-    return pts
-
-
-def pushoff(path: PathPoly, d: PolygonalDomain) -> PathPoly:
-    """Strict-regime representative of a closure path: every boundary
-    contact becomes a vertex nudged into the open domain.
-
-    The nudge is smaller than half the domain feature size and half the
-    path's clearance off the boundary, which keeps the result in the same
-    class closure.
-    """
-    pts = _with_contacts(path, d)
-    fs = float(d.feature_size2())
-    cl = _clearance2(path, d)
-    eps_f = math.sqrt(fs) / 4
-    if cl is not None:
-        eps_f = min(eps_f, math.sqrt(float(cl)) / 4)
-    eps = rat(1)
-    while eps > rat(eps_f):
-        eps = eps / 2
-    dirs = []
-    for i, p in enumerate(pts):
-        loc = locate(d, p) if 0 < i < len(pts) - 1 else None
-        dirs.append(_inward_direction(d, loc) if loc and loc.kind == "boundary" else None)
-    for k in range(1, 15):
-        scale = eps / 2**k
-        cand = PathPoly([p if c is None else p + c.scaled(scale) for p, c in zip(pts, dirs)])
-        if validate_path(cand, d).ok:
-            return cand
-    raise NotGeneralPosition("pushoff failed to find a strict representative")

@@ -20,7 +20,6 @@ from .domain import PolygonalDomain, Triangulation, triangulate
 from .geom import (
     LineSpec,
     Pt,
-    Segment,
     dedupe_collinear,
     lerp,
     line_hits_segment,
@@ -28,11 +27,9 @@ from .geom import (
     line_side,
     on_segment,
     orient,
-    point_in_triangle,
     polyline_length,
     rat,
     seg_param,
-    segments_intersect,
 )
 from .homotopy import (
     CrossingWord,
@@ -40,13 +37,11 @@ from .homotopy import (
     PathPoly,
     Sleeve,
     SleevePath,
-    WordError,
     build_sleeve,
     crossing_word,
     line_lifts,
     strict_form,
 )
-from .homotopy import _with_contacts
 
 
 class ChordMismatch(Exception):
@@ -360,6 +355,17 @@ def _positions_from_records(word: CrossingWord, nverts: int):
     return pos
 
 
+def _as_sleeve_path(path: PathPoly, d: PolygonalDomain, moves=None, trace=None):
+    """(sleeve, sleeve path) of a valid path: its strict form with the
+    spurs removed, positioned by its own crossing records."""
+    tri = triangulate(d)
+    strict_p = strict_form(path, d)
+    strict_p, word = _remove_spurs(strict_p, crossing_word(strict_p, tri), tri, moves, trace)
+    sleeve = build_sleeve(word, tri)
+    pos = _positions_from_records(word, len(strict_p.vertices))
+    return sleeve, SleevePath(sleeve, list(strict_p.vertices), pos)
+
+
 # ---------------------------------------------------------------- tighten
 
 
@@ -367,23 +373,17 @@ def tighten(path, domain: PolygonalDomain, options: Optional[TightenOptions] = N
     t0 = time.perf_counter()
     opt = options or TightenOptions()
     p = path if isinstance(path, PathPoly) else PathPoly(path)
+    moves: list = []
+    trace = [polyline_length(p.vertices)]
     # InvalidPath comes from triangulate for an invalid domain, and from
     # strict_form for a path that leaves it
-    tri = triangulate(domain)
-    strict_p = strict_form(p, domain)
-    word = crossing_word(strict_p, tri)
-
-    moves: list = []
-    trace = [polyline_length(strict_p.vertices)]
-    strict_p, word = _remove_spurs(strict_p, word, tri, moves, trace)
-    sleeve = build_sleeve(word, tri)
-    pos = _positions_from_records(word, len(strict_p.vertices))
-    spath = SleevePath(sleeve, list(strict_p.vertices), pos)
+    sleeve, spath = _as_sleeve_path(p, domain, moves, trace)
+    tri = sleeve.tri
     replay_base = (list(spath.verts), list(spath.pos))
 
     # every round needs new path vertices, which only moves make, so the
     # move budget also bounds the rounds
-    budget = 200 + 10 * (len(word.letters) + len(spath.verts))
+    budget = 200 + 10 * (len(sleeve.portals) + len(spath.verts))
     swept: set = set()
     extra = [p.start, p.end]
     # a two-vertex path is a straight segment; no line can meet it in more
@@ -412,7 +412,7 @@ def tighten(path, domain: PolygonalDomain, options: Optional[TightenOptions] = N
         length_trace=trace,
         certificate=cert,
         replay_base=replay_base,
-        word_length=len(word.letters),
+        word_length=len(sleeve.portals),
         wall_time=time.perf_counter() - t0,
     )
 
@@ -475,57 +475,6 @@ def funnel_shortest(sleeve: Sleeve, p: Pt, q: Pt) -> list:
 
 
 # ------------------------------------------------------------ certificates
-
-
-def _position_closure_path(pts, sleeve: Sleeve):
-    """Greedy-minimal sleeve positions for a path that may run along the
-    boundary.  Returns None when the walk cannot be matched."""
-    K = len(sleeve.portals)
-    pos = [0]
-    j = 0
-    for i in range(len(pts) - 1):
-        a, b = pts[i], pts[i + 1]
-        while j <= K and not point_in_triangle(b, *sleeve.tri_pts(j)):
-            if j == K:
-                return None
-            l, r = sleeve.portal_pts[j]
-            if segments_intersect(Segment(a, b), Segment(l, r))[0] == "disjoint":
-                return None
-            j += 1
-        pos.append(j)
-    # the walk must end in the last copy; lift through portals that
-    # contain the endpoint if need be
-    while pos[-1] < K:
-        l, r = sleeve.portal_pts[pos[-1]]
-        if not on_segment(pts[-1], l, r):
-            return None
-        pos[-1] += 1
-    return pos
-
-
-def _as_sleeve_path(path: PathPoly, d: PolygonalDomain):
-    """(sleeve, sleeve path) for an arbitrary valid path, rebuilding the
-    class data from scratch."""
-    tri = triangulate(d)
-    strict_p = strict_form(path, d)
-    word = crossing_word(strict_p, tri)
-    # prefer the path as given, with its boundary contacts as vertices; the
-    # strict form differs from the given path exactly when it was pushed off
-    real = list(path.vertices) if strict_p.vertices == path.vertices else _with_contacts(path, d)
-    strict_p, word = _remove_spurs(strict_p, word, tri)
-    sleeve = build_sleeve(word, tri)
-    if len(real) >= 2:
-        rpos = _position_closure_path(real, sleeve)
-        if rpos is not None:
-            sp = SleevePath(sleeve, real, rpos)
-            try:
-                for i in range(len(sp.verts) - 1):
-                    sp.edge_portal_windows(i)
-                return sleeve, sp
-            except WordError:
-                pass
-    pos = _positions_from_records(word, len(strict_p.vertices))
-    return sleeve, SleevePath(sleeve, list(strict_p.vertices), pos)
 
 
 def _taut_vertex_violations(pts, d: PolygonalDomain):

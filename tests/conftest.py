@@ -9,8 +9,8 @@ import pytest
 sys.path.insert(0, os.path.dirname(__file__))
 
 from tautpath import PathPoly, PolygonalDomain, triangulate
-from tautpath.geom import Pt, dist2, lerp, polyline_length, rat
-from tautpath.homotopy import _clearance2, validate_path
+from tautpath.geom import Pt, Segment, dist2, lerp, point_seg_dist2, polyline_length, rat, segments_intersect
+from tautpath.homotopy import validate_path
 
 
 @pytest.fixture(scope="session")
@@ -48,6 +48,29 @@ def loop_path():
 
 def snap_rat(v: float, denom: int = 1 << 14):
     return rat(round(v * denom)) / denom
+
+
+def _clearance2(path: PathPoly, d: PolygonalDomain):
+    """Smallest positive squared distance between path edges and boundary
+    edges that do not touch each other."""
+    best = None
+    for i in range(len(path.vertices) - 1):
+        a, b = path.vertices[i], path.vertices[i + 1]
+        for rid, ring in d.rings():
+            n = len(ring)
+            for j in range(n):
+                c, e = ring[j], ring[(j + 1) % n]
+                if segments_intersect(Segment(a, b), Segment(c, e))[0] != "disjoint":
+                    continue
+                m = min(
+                    point_seg_dist2(a, c, e),
+                    point_seg_dist2(b, c, e),
+                    point_seg_dist2(c, a, b),
+                    point_seg_dist2(e, a, b),
+                )
+                if best is None or m < best:
+                    best = m
+    return best
 
 
 def perturb_homotopic(path: PathPoly, d: PolygonalDomain, rng: random.Random, wiggles: int = 3) -> PathPoly:

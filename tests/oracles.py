@@ -6,9 +6,9 @@ shares only the low-level word machinery with the library, not the
 pull-tight engine, so agreement between the two is evidence rather than
 tautology.
 
-`probe_taut_vertex_violations` and `probe_enters_domain` decide the
-certificate's corner rule and the push-off's inward direction by probing
-the domain a tiny step away instead of reading the corner's two edges.
+`probe_taut_vertex_violations` decides the certificate's corner rule by
+probing the domain a tiny step away instead of reading the corner's two
+edges.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import itertools
 import math
 
 from tautpath import PathPoly, triangulate, validate_path
-from tautpath.domain import locate
 from tautpath.geom import Pt, dist2, lerp, orient, polyline_length, rat, seg_length
 from tautpath.homotopy import canonical_class_key, word_of
 
@@ -115,16 +114,6 @@ def probe_taut_vertex_violations(pts, d):
         if validate_path(PathPoly(ends, closure=True), d).ok:
             out.append(f"vertex {k} admits a local shortcut")
     return out
-
-
-def probe_enters_domain(d, p, c):
-    """Reference for `_inward_direction`: whether a step along c from the
-    boundary point p, far below the domain's feature size, lands in the
-    open domain."""
-    step = rat(1)
-    while step > rat(math.sqrt(float(d.feature_size2())) / 4):
-        step /= 2
-    return locate(d, p + c.scaled(step / 2**18)).kind == "interior"
 
 
 def brute_len_value(pts, k: int, grid_pts=None):

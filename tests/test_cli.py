@@ -173,6 +173,18 @@ def test_tighten_reports_and_artifacts(tmp_path, capsys):
     assert 'class="output"' in svg
 
 
+def test_tighten_taut_closure_path_is_left_alone(tmp_path, capsys):
+    # the input already runs along the hole's top edge: it is read as it
+    # is, so its own length is reported and no move is made
+    fp = write_d1(tmp_path, path=[["-3", "0"], ["-1", "1"], ["1", "1"], ["3", "0"]])
+    assert main(["tighten", fp, "--certify-lines", "100"]) == 0
+    out = capsys.readouterr().out
+    assert "input length  : 6.472135955000" in out
+    assert "output length : 6.472135955000" in out
+    assert "moves         : 0 (0 spur, 0 chord)" in out
+    assert "certificate   : ok" in out
+
+
 def test_tighten_svg_deterministic(tmp_path):
     fp = write_d1(tmp_path)
     s1, s2 = str(tmp_path / "a.svg"), str(tmp_path / "b.svg")

@@ -18,7 +18,6 @@ from tautpath.geom import (
     lerp,
     line_hits_segment,
     line_param,
-    line_point,
     line_side,
     on_segment,
     orient,
@@ -123,7 +122,7 @@ def test_line_param_point_roundtrip(a, b, num):
         return
     ln = LineSpec.through(a, b)
     t = rat(num) / 5
-    p = line_point(ln, t)
+    p = ln.anchor + ln.direction.scaled(t)
     assert line_side(ln, p) == 0
     assert line_param(ln, p) == t
 
@@ -207,7 +206,7 @@ def test_clip_line_to_triangle_inside(a, b, t1, t2, t3):
         return
     t0, t1_ = got
     assert t0 <= t1_
-    mid = line_point(ln, (t0 + t1_) / 2)
+    mid = ln.anchor + ln.direction.scaled((t0 + t1_) / 2)
     assert point_in_triangle(mid, t1, t2, t3, closed=True)
 
 

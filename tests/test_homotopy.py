@@ -1,12 +1,12 @@
-"""Crossing words, class keys, sleeves, lifts, pushoff."""
+"""Crossing words, class keys, sleeves, lifts, strict forms."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tautpath.domain import locate, triangulate
-from tautpath.geom import Pt, Segment, LineSpec, lerp, rat, segments_intersect
+from tautpath.domain import triangulate
+from tautpath.geom import Pt, Segment, LineSpec, segments_intersect
 from tautpath.homotopy import (
     PathPoly,
     validate_path,
@@ -18,14 +18,10 @@ from tautpath.homotopy import (
     homotopic,
     build_sleeve,
     line_lifts,
-    pushoff,
     strict_form,
     EndpointMismatch,
     InvalidPath,
-    _inward_direction,
-    _with_contacts,
 )
-from oracles import probe_enters_domain
 
 
 GOLDEN_OVER = [(-3, 0), (-1, 1), (1, 1), (3, 0)]
@@ -208,52 +204,38 @@ def test_vertical_line_lifts_twice_around_the_loop(d1_tri, loop_path):
     assert len(pieces) == 2
 
 
-# --- pushoff ---
+# --- paths that touch the boundary ---
 
 
-def test_pushoff_gives_strict_same_class(d1, d1_tri, over_path):
+def _key(path, tri):
+    return canonical_class_key(word_of(path, tri), tri, path.start, path.end)
+
+
+def test_closure_path_passes_corners_inside(d1_tri, over_path, under_path):
+    # the tight answer runs along the hole's top edge, so it passes the
+    # corners (-1, 1) and (1, 1) through their fans on the upper side
     touch = PathPoly(GOLDEN_OVER, closure=True)
-    pushed = pushoff(touch, d1)
-    assert not pushed.closure
-    assert validate_path(pushed, d1).ok
-    # nudged off the hole's top edge into the over class
-    assert homotopic(pushed, over_path, d1_tri)
+    assert homotopic(touch, over_path, d1_tri)
+    assert not homotopic(touch, under_path, d1_tri)
+    assert _key(touch, d1_tri) == _key(over_path, d1_tri)
 
 
-def test_pushoff_of_strict_path_is_identity(d1, over_path):
-    pushed = pushoff(over_path, d1)
-    assert pushed.vertices == over_path.vertices
+def test_strict_form_inserts_corners_inside_edges(d1, d1_tri):
+    from tautpath.tighten import tighten
+
+    along = PathPoly([(-3, 1), (3, 1)])
+    form = strict_form(along, d1)
+    assert form == PathPoly([(-3, 1), (-1, 1), (1, 1), (3, 1)], closure=True)
+    assert homotopic(form, PathPoly([(-3, 1), (0, 3), (3, 1)]), d1_tri)
+    assert not homotopic(form, PathPoly([(-3, 1), (0, -3), (3, 1)]), d1_tri)
+    assert tighten(along, d1).path.vertices == along.vertices
 
 
-def test_inward_directions_match_probe(d1_straight):
-    from conftest import instance_batch
-    from tautpath.tighten import TightenOptions, tighten
-
-    cases = [(d1_straight, PathPoly([(-3, -2), (0, -5), (3, -2)]))]
-    cases += [(inst["domain"], inst["path"]) for inst in instance_batch(6, seed0=300, max_holes=3, spread=24)]
-    checked = 0
-    for d, path in cases:
-        out = tighten(path, d, TightenOptions(certify_lines=0)).path
-        points = _with_contacts(out, d)[1:-1]
-        for _, ring in d.rings():
-            points += [lerp(a, ring[(i + 1) % len(ring)], rat(1) / 2) for i, a in enumerate(ring)] + ring
-        for p in points:
-            loc = locate(d, p)
-            if loc.kind != "boundary":
-                continue
-            assert probe_enters_domain(d, p, _inward_direction(d, loc)), p
-            checked += 1
-    assert checked > 100
-
-
-def test_word_of_handles_closure_members(d1_tri):
+def test_word_of_handles_closure_members(d1_tri, over_path):
     touch = PathPoly(GOLDEN_OVER, closure=True)
     w = word_of(touch, d1_tri)
-    pushed = pushoff(touch, d1_tri.domain)
-    assert canonical_class_key(w, d1_tri, touch.start, touch.end) == \
-        canonical_class_key(
-            crossing_word(pushed, d1_tri), d1_tri, touch.start, touch.end
-        )
+    assert w.letters == crossing_word(strict_form(touch, d1_tri.domain), d1_tri).letters
+    assert canonical_class_key(w, d1_tri, touch.start, touch.end) == _key(over_path, d1_tri)
 
 
 def test_general_position_triangulation_usable(d1, over_path, under_path):
@@ -267,18 +249,19 @@ def test_general_position_triangulation_usable(d1, over_path, under_path):
 
 
 def test_general_position_triangulation_pushes_off_closure_paths(d1):
-    touch = PathPoly(GOLDEN_OVER, closure=True)
+    # a closure path is read as it is, with no point moved off the boundary
+    touch = PathPoly([(-3, 1), (1, 1), (3, 0)], closure=True)
     tri = triangulate(d1)
     form = strict_form(touch, d1)
-    assert form == pushoff(touch, d1)
+    assert form == PathPoly([(-3, 1), (-1, 1), (1, 1), (3, 0)], closure=True)
     assert word_of(touch, tri).letters == crossing_word(form, tri).letters
 
 
 def test_strict_form(d1, over_path):
     # a path in the open domain is its own strict form
     assert strict_form(over_path, d1) == over_path
-    # one that touches the boundary is pushed off
-    touch = PathPoly(GOLDEN_OVER, closure=True)
-    assert strict_form(touch, d1) == pushoff(touch, d1)
+    # one that touches the boundary only at its vertices is a closure path
+    touch = PathPoly(GOLDEN_OVER)
+    assert strict_form(touch, d1) == PathPoly(GOLDEN_OVER, closure=True)
     with pytest.raises(InvalidPath, match="^path: "):
         strict_form(PathPoly([(-3, 0), (3, 0)]), d1)

@@ -1,5 +1,6 @@
 """Every name the package imports is read, listed in `__all__`, or
-imported from it by another module of the package."""
+imported from it by another module of the package; every name in
+`__all__` resolves."""
 
 import ast
 from pathlib import Path
@@ -38,3 +39,9 @@ def test_no_unused_imports():
                 if name not in read and (mod, name) not in reexported:
                     unused.append(f"{mod}: {name}")
     assert unused == []
+
+
+def test_all_names_resolve():
+    import tautpath
+
+    assert [n for n in tautpath.__all__ if not hasattr(tautpath, n)] == []

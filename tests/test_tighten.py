@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from tautpath.domain import triangulate
-from tautpath.geom import Pt, LineSpec, rat, polyline_length, dedupe_collinear, on_segment
+from tautpath.geom import Pt, LineSpec, polyline_length, dedupe_collinear, on_segment
 from tautpath.homotopy import (
     PathPoly,
     validate_path,
@@ -326,12 +326,29 @@ def test_path_along_a_boundary_edge_is_pushed_off(d1):
 
 
 def test_path_through_a_straight_corner(d1_straight):
-    from tautpath.homotopy import pushoff
+    from tautpath.homotopy import _fan, crossing_word, strict_form
 
     p = PathPoly([(-3, -2), (0, -5), (3, -2)])
-    assert pushoff(p, d1_straight).vertices == as_pts([(-3, -2), (0, rat(-19) / 4), (3, -2)])
+    # the path passes the corner through its whole fan, recorded at the corner
+    tri = triangulate(d1_straight)
+    _, keys = _fan(tri, tri.vertex_at(Pt(0, -5)))
+    recs = crossing_word(strict_form(p, d1_straight), tri).records
+    assert len(keys) == 3
+    assert [(r.edge_index, r.t, r.eid) for r in recs if r.t == 1] == [(0, 1, tri.edge_id[k]) for k in keys]
     rep = tighten(p, d1_straight, TightenOptions(certify_lines=100))
     assert rep.path.vertices == as_pts([(-3, -2), (3, -2)])
+    assert rep.certificate.ok
+
+
+def test_path_along_a_diagonal_between_corners(d1, d1_tri):
+    # (-5, 5) -> (-1, 1) is a diagonal; the path arrives at and leaves it
+    # on the side away from the one the shift delta picks for its midpoint
+    p = PathPoly([(-4, 0), (-5, 5), (-1, 1), (-2, 0)])
+    eid = d1_tri.edge_id[(3, 5)]
+    assert d1_tri.edge_pts((3, 5)) == (Pt(-5, 5), Pt(-1, 1))
+    assert eid not in {e for e, _ in word_of(p, d1_tri).letters}
+    rep = tighten(p, d1, TightenOptions(certify_lines=100))
+    assert rep.path.vertices == as_pts([(-4, 0), (-2, 0)])
     assert rep.certificate.ok
 
 
