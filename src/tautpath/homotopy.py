@@ -264,7 +264,8 @@ def crossing_word(path: PathPoly, tri: Triangulation) -> CrossingWord:
     in, recorded at the end (t = 1) of the arriving edge."""
     pts = path.vertices
     corner = [tri.vertex_at(p) for p in pts]
-    edges = [(key, tri.edge_pts(key)) for key in tri.interior_edges]
+    keys = tri.interior_edges
+    epts = [tri.edge_pts(k) for k in keys]
     per_edge = []
     for i in range(len(pts) - 1):
         a, b = pts[i], pts[i + 1]
@@ -273,7 +274,7 @@ def crossing_word(path: PathPoly, tri: Triangulation) -> CrossingWord:
         loy, hiy = min(a.fy, b.fy), max(a.fy, b.fy)
         ab_tie = None
         local = []
-        for eid, (key, (u, v)) in enumerate(edges):
+        for eid, (u, v) in enumerate(epts):
             # rounding to floats keeps order, so disjoint float boxes are disjoint
             if max(u.fx, v.fx) < lox or hix < min(u.fx, v.fx) or max(u.fy, v.fy) < loy or hiy < min(u.fy, v.fy):
                 continue
@@ -284,7 +285,7 @@ def crossing_word(path: PathPoly, tri: Triangulation) -> CrossingWord:
                 ab_tie = -_tie(b - a)
             if (orient(a, b, u) or ab_tie) == (orient(a, b, v) or ab_tie):
                 continue
-            if ca in key or cb in key:
+            if ca in keys[eid] or cb in keys[eid]:
                 continue
             uv = v - u
             t = cross(u - a, uv) / cross(b - a, uv)
