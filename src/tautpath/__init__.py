@@ -47,7 +47,6 @@ from .tighten import (
     TightenReport,
     certify_efficient,
     funnel_shortest,
-    locally_shortest_check,
     tighten,
 )
 
@@ -83,7 +82,6 @@ __all__ = [
     "funnel_shortest",
     "homotopic",
     "len_compare",
-    "locally_shortest_check",
     "locate",
     "path_len",
     "polyline_length",

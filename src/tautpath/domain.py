@@ -119,6 +119,7 @@ class PolygonalDomain:
 class ValidationReport:
     ok: bool
     violations: list = field(default_factory=list)
+    touches: bool = False  # a path meets the boundary away from its ends
 
 
 def _ring_simple(ring, label, out):
@@ -159,10 +160,9 @@ def _inside_ring(p: Pt, ring) -> bool:
     """Crossing-number parity; caller guarantees p is off the ring itself."""
     inside = False
     for _, a, b in _ring_edges(ring):
-        if (a.y > p.y) != (b.y > p.y):
-            xi = a.x + (p.y - a.y) * (b.x - a.x) / (b.y - a.y)
-            if xi > p.x:
-                inside = not inside
+        # the edge crosses p's line right of p when p is left of it upward
+        if (a.y > p.y) != (b.y > p.y) and orient(a, b, p) == (1 if b.y > a.y else -1):
+            inside = not inside
     return inside
 
 

@@ -1,8 +1,10 @@
 """Homotopy bookkeeping over a fixed triangulation.
 
-A path in the closed domain is encoded by its crossing word: the ordered
-sequence of (interior edge, direction) transversal crossings, with
-degenerate positions decided by an infinitesimal shift.  Where the path
+A path is valid when it lies in the closed domain; validate_path checks
+that once, and says whether the path touches the boundary on the way.  A
+valid path is encoded by its crossing word: the ordered sequence of
+(interior edge, direction) transversal crossings, with degenerate
+positions decided by an infinitesimal shift.  Where the path
 passes a domain corner it is read as passing just inside the domain,
 through the fan of triangles at that corner.  Reduced words classify
 homotopy classes rel endpoints (after a normalization at endpoints that
@@ -41,15 +43,13 @@ class WordError(Exception):
 
 
 class PathPoly:
-    """Polyline path.  `closure=False` is the strict regime (interior in
-    the open domain); `closure=True` marks a class-closure member whose
-    interior may touch the boundary."""
+    """Polyline path, valid when it lies in the closed domain (see
+    validate_path)."""
 
-    __slots__ = ("vertices", "closure")
+    __slots__ = ("vertices",)
 
-    def __init__(self, vertices, closure: bool = False):
+    def __init__(self, vertices):
         self.vertices = [p if isinstance(p, Pt) else Pt(*p) for p in vertices]
-        self.closure = closure
 
     @property
     def start(self) -> Pt:
@@ -63,17 +63,16 @@ class PathPoly:
         return all(p == self.vertices[0] for p in self.vertices)
 
     def __eq__(self, o):
-        return (
-            isinstance(o, PathPoly)
-            and self.vertices == o.vertices
-            and self.closure == o.closure
-        )
+        return isinstance(o, PathPoly) and self.vertices == o.vertices
 
     def __repr__(self):
-        return f"PathPoly({len(self.vertices)} verts, closure={self.closure})"
+        return f"PathPoly({len(self.vertices)} verts)"
 
 
 def validate_path(path: PathPoly, d: PolygonalDomain) -> ValidationReport:
+    """Checks that the path lies in the closed domain.  The report's
+    `touches` says whether it meets the boundary anywhere but at its two
+    ends: at an inner vertex, where an edge touches it, or along it."""
     v = []
     pts = path.vertices
     if len(pts) < 2:
@@ -88,16 +87,14 @@ def validate_path(path: PathPoly, d: PolygonalDomain) -> ValidationReport:
         if pts[i] == pts[i + 1]:
             v.append(f"repeated consecutive vertex at index {i}")
             return ValidationReport(False, v)
+    touches = False
     for i, p in enumerate(pts):
         kind = locate(d, p).kind
-        if i == 0 or i == len(pts) - 1:
-            if kind == "exterior":
-                v.append("endpoint outside the closed domain")
-        elif path.closure:
-            if kind == "exterior":
-                v.append(f"vertex {i} outside the closed domain")
-        elif kind != "interior":
-            v.append(f"vertex {i} not in the open domain")
+        end = i == 0 or i == len(pts) - 1
+        if kind == "exterior":
+            v.append("endpoint outside the closed domain" if end else f"vertex {i} outside the closed domain")
+        elif kind == "boundary" and not end:
+            touches = True
     if v:
         return ValidationReport(False, v)
     last = len(pts) - 2
@@ -116,18 +113,11 @@ def validate_path(path: PathPoly, d: PolygonalDomain) -> ValidationReport:
                     bad = f"edge {i} crosses the boundary"
                     break
                 if kind == "touch":
-                    if not path.closure:
-                        endpoint_touch = (i == 0 and data == a and data == pts[0]) or (
-                            i == last and data == b and data == pts[-1]
-                        )
-                        if not endpoint_touch:
-                            bad = f"edge {i} touches the boundary"
-                            break
+                    if not ((i == 0 and data == a) or (i == last and data == b)):
+                        touches = True
                     events.append(seg_param(a, b, data))
                 elif kind == "overlap":
-                    if not path.closure:
-                        bad = f"edge {i} runs along the boundary"
-                        break
+                    touches = True
                     events.append(seg_param(a, b, data.a))
                     events.append(seg_param(a, b, data.b))
             if bad:
@@ -140,15 +130,10 @@ def validate_path(path: PathPoly, d: PolygonalDomain) -> ValidationReport:
             if cuts[k] == cuts[k + 1]:
                 continue
             mid = lerp(a, b, (cuts[k] + cuts[k + 1]) / 2)
-            kind = locate(d, mid).kind
-            if path.closure:
-                if kind == "exterior":
-                    v.append(f"edge {i} leaves the closed domain")
-                    break
-            elif kind != "interior":
-                v.append(f"edge {i} leaves the open domain")
+            if locate(d, mid).kind == "exterior":
+                v.append(f"edge {i} leaves the closed domain")
                 break
-    return ValidationReport(not v, v)
+    return ValidationReport(not v, v, touches)
 
 
 @dataclass(frozen=True)
@@ -412,22 +397,20 @@ def canonical_class_key(word: CrossingWord, tri: Triangulation, p: Pt, q: Pt):
 
 
 def strict_form(path: PathPoly, d: PolygonalDomain) -> PathPoly:
-    """The path itself (closure=False) when it lies in the open domain.
-    A path that touches the boundary comes back with closure=True and
-    every domain corner inside one of its edges inserted as a vertex, the
-    form crossing_word reads.  Raises InvalidPath when the path leaves
-    the closed domain."""
-    strict = PathPoly(path.vertices, closure=False)
-    if validate_path(strict, d).ok:
-        return strict
-    rep = validate_path(PathPoly(path.vertices, closure=True), d)
+    """The path itself when it meets the boundary at most at its ends.
+    Otherwise every domain corner inside one of its edges is inserted as a
+    vertex, the form crossing_word reads.  Raises InvalidPath when the
+    path leaves the closed domain."""
+    rep = validate_path(path, d)
     if not rep.ok:
         raise InvalidPath("path: " + "; ".join(rep.violations))
+    if not rep.touches:
+        return path
     pts = path.vertices[:1]
     for a, b in zip(path.vertices, path.vertices[1:]):
         inner = [c for c in d.verts if c != a and c != b and on_segment(c, a, b)]
         pts += sorted(inner, key=lambda c: seg_param(a, b, c)) + [b]
-    return PathPoly(pts, closure=True)
+    return PathPoly(pts)
 
 
 def word_of(path: PathPoly, tri: Triangulation) -> CrossingWord:

@@ -323,7 +323,7 @@ def _snip_spur(path: PathPoly, word: CrossingWord, i: int) -> PathPoly:
             out.append(p)
     if len(out) == 1:
         out.append(out[0])
-    return PathPoly(out, closure=False)
+    return PathPoly(out)
 
 
 def _remove_spurs(path: PathPoly, word: CrossingWord, tri: Triangulation, moves=None, trace=None):
@@ -399,7 +399,7 @@ def tighten(path, domain: PolygonalDomain, options: Optional[TightenOptions] = N
     out_pts = dedupe_collinear(spath.verts)
     if len(out_pts) == 1:
         out_pts = [out_pts[0], out_pts[0]]
-    out = PathPoly(out_pts, closure=True)
+    out = PathPoly(out_pts)
     cert = None
     if opt.certify_lines:
         cert = certify_efficient(out, domain, lines=opt.certify_lines, seed=opt.seed, _pre=(sleeve, spath))
@@ -513,7 +513,7 @@ def certify_efficient(
     family plus `lines` random lines, and that every bend is a blocked
     domain corner.  `stop_after` ends the line scan once that many
     violations are recorded; leave it None for a full scan."""
-    p = path if isinstance(path, PathPoly) else PathPoly(path, closure=True)
+    p = path if isinstance(path, PathPoly) else PathPoly(path)
     if _pre is not None:
         sleeve, spath = _pre
     else:
@@ -546,48 +546,3 @@ def certify_efficient(
         violations=violations + taut_msgs,
         taut_vertices_ok=not taut_msgs,
     )
-
-
-def locally_shortest_check(
-    path,
-    d: PolygonalDomain,
-    grid: int = 8,
-    tol: float = 1e-9,
-) -> bool:
-    """True when every grid subpath is as short as the funnel optimum
-    between its endpoints in the sub-sleeve."""
-    p = path if isinstance(path, PathPoly) else PathPoly(path, closure=True)
-    sleeve, spath = _as_sleeve_path(p, d)
-    E = len(spath.verts) - 1
-    if E == 0:
-        return True
-    cuts = []
-    for k in range(grid + 1):
-        g = rat(E) * k / grid
-        i = min(int(g), E - 1)
-        s = g - i
-        x = lerp(spath.verts[i], spath.verts[i + 1], s) if spath.verts[i] != spath.verts[i + 1] else spath.verts[i]
-        win = spath.edge_portal_windows(i)
-        j = spath.pos[i + 1]
-        for kk in range(spath.pos[i], spath.pos[i + 1]):
-            if win[kk][1] >= s:
-                j = kk
-                break
-        cuts.append((i, s, x, j))
-    for a in range(len(cuts)):
-        for b in range(a + 1, len(cuts)):
-            ia, sa, xa, ja = cuts[a]
-            ib, sb, xb, jb = cuts[b]
-            if (ia, sa) >= (ib, sb):
-                continue
-            sub = [xa] + spath.verts[ia + 1 : ib + 1] + [xb]
-            direct = polyline_length(sub)
-            slice_sleeve = Sleeve(
-                sleeve.tri,
-                sleeve.tri_seq[ja : jb + 1],
-                sleeve.portals[ja:jb],
-            )
-            best = polyline_length(funnel_shortest(slice_sleeve, xa, xb))
-            if direct - best > tol:
-                return False
-    return True

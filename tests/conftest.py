@@ -79,7 +79,7 @@ def perturb_homotopic(path: PathPoly, d: PolygonalDomain, rng: random.Random, wi
     untouched while the euclidean length strictly grows."""
     verts = list(path.vertices)
     for _ in range(wiggles):
-        cur = PathPoly(verts, closure=True)
+        cur = PathPoly(verts)
         cl2 = _clearance2(cur, d)
         r = math.sqrt(float(cl2)) / 4 if cl2 is not None else 0.25
         r = min(r, 1.0)
@@ -97,13 +97,13 @@ def perturb_homotopic(path: PathPoly, d: PolygonalDomain, rng: random.Random, wi
             if off.x == 0 and off.y == 0:
                 continue
             cand = verts[: i + 1] + [m + off] + verts[i + 1 :]
-            if validate_path(PathPoly(cand, closure=True), d).ok:
+            if validate_path(PathPoly(cand), d).ok:
                 verts = cand
                 done = True
                 break
         if not done:
             break
-    return PathPoly(verts, closure=True)
+    return PathPoly(verts)
 
 
 def subdivide(path, max_chord: float):
@@ -116,7 +116,7 @@ def subdivide(path, max_chord: float):
         n = max(1, math.ceil(d / max_chord))
         for k in range(1, n + 1):
             out.append(lerp(a, b, rat(k) / n))
-    return PathPoly(list(out), closure=getattr(path, "closure", True))
+    return PathPoly(list(out))
 
 
 def arclen_sup_dist(pts_a, pts_b, samples: int = 256) -> float:

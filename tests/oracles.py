@@ -9,6 +9,9 @@ tautology.
 `probe_taut_vertex_violations` decides the certificate's corner rule by
 probing the domain a tiny step away instead of reading the corner's two
 edges.
+
+`locally_shortest_check` compares every subpath between grid points with
+the funnel optimum between its ends, an O(grid^2) probe of shortness.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ import math
 
 from tautpath import PathPoly, triangulate, validate_path
 from tautpath.geom import Pt, dist2, lerp, orient, polyline_length, rat, seg_length
-from tautpath.homotopy import canonical_class_key, word_of
+from tautpath.homotopy import Sleeve, canonical_class_key, word_of
+from tautpath.tighten import _as_sleeve_path, funnel_shortest
 
 
 def _class_key(path: PathPoly, tri):
@@ -48,7 +52,7 @@ def vg_shortest_in_class(d, path: PathPoly, tri=None):
         for j in range(i + 1, n):
             if nodes[i] == nodes[j]:
                 continue
-            seg = PathPoly([nodes[i], nodes[j]], closure=True)
+            seg = PathPoly([nodes[i], nodes[j]])
             ok = validate_path(seg, d).ok
             vis[i][j] = vis[j][i] = ok
 
@@ -65,7 +69,7 @@ def vg_shortest_in_class(d, path: PathPoly, tri=None):
         if acc + fdist[i][1] >= best_len:
             return
         if i == 1 and len(walk) >= 2:
-            cand = PathPoly([nodes[t] for t in walk], closure=True)
+            cand = PathPoly([nodes[t] for t in walk])
             if _class_key(cand, tri) == target:
                 best_len = acc
                 best_walk = list(walk)
@@ -111,9 +115,49 @@ def probe_taut_vertex_violations(pts, d):
             while float(dist2(lerp(v, x, t), v)) > fs / 64:
                 t /= 2
             ends.append(lerp(v, x, t))
-        if validate_path(PathPoly(ends, closure=True), d).ok:
+        if validate_path(PathPoly(ends), d).ok:
             out.append(f"vertex {k} admits a local shortcut")
     return out
+
+
+def locally_shortest_check(path, d, grid: int = 8, tol: float = 1e-9) -> bool:
+    """True when every grid subpath is as short as the funnel optimum
+    between its endpoints in the sub-sleeve."""
+    p = path if isinstance(path, PathPoly) else PathPoly(path)
+    sleeve, spath = _as_sleeve_path(p, d)
+    E = len(spath.verts) - 1
+    if E == 0:
+        return True
+    cuts = []
+    for k in range(grid + 1):
+        g = rat(E) * k / grid
+        i = min(int(g), E - 1)
+        s = g - i
+        x = lerp(spath.verts[i], spath.verts[i + 1], s) if spath.verts[i] != spath.verts[i + 1] else spath.verts[i]
+        win = spath.edge_portal_windows(i)
+        j = spath.pos[i + 1]
+        for kk in range(spath.pos[i], spath.pos[i + 1]):
+            if win[kk][1] >= s:
+                j = kk
+                break
+        cuts.append((i, s, x, j))
+    for a in range(len(cuts)):
+        for b in range(a + 1, len(cuts)):
+            ia, sa, xa, ja = cuts[a]
+            ib, sb, xb, jb = cuts[b]
+            if (ia, sa) >= (ib, sb):
+                continue
+            sub = [xa] + spath.verts[ia + 1 : ib + 1] + [xb]
+            direct = polyline_length(sub)
+            slice_sleeve = Sleeve(
+                sleeve.tri,
+                sleeve.tri_seq[ja : jb + 1],
+                sleeve.portals[ja:jb],
+            )
+            best = polyline_length(funnel_shortest(slice_sleeve, xa, xb))
+            if direct - best > tol:
+                return False
+    return True
 
 
 def brute_len_value(pts, k: int, grid_pts=None):

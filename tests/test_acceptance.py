@@ -18,7 +18,7 @@ from conftest import (
     snap_rat,
     subdivide,
 )
-from oracles import vg_shortest_in_class
+from oracles import locally_shortest_check, vg_shortest_in_class
 from tautpath import PathPoly, PolygonalDomain
 from tautpath.domain import locate, triangulate, validate
 from tautpath.geom import Pt, dedupe_collinear, orient, polyline_length
@@ -33,7 +33,6 @@ from tautpath.tighten import (
     TightenOptions,
     certify_efficient,
     funnel_shortest,
-    locally_shortest_check,
     tighten,
 )
 
@@ -158,7 +157,8 @@ def _convex_instance(seed):
             continue
         mids = [_interior_point(d, rng) for _ in range(rng.randint(1, 3))]
         path = PathPoly([p] + mids + [q])
-        if validate_path(path, d).ok:
+        rep = validate_path(path, d)
+        if rep.ok and not rep.touches:
             return d, path
     raise AssertionError(f"convex instance {seed} not realizable")
 
@@ -367,7 +367,8 @@ def _roomy_instance(seed):
     px = snap_rat(rng.uniform(-2.5, -0.5))
     p, q = Pt(px, py), Pt(px + snap_rat(rng.uniform(0.8, 1.6)), py)
     path = PathPoly([p, q])
-    assert validate_path(path, d).ok
+    rep = validate_path(path, d)
+    assert rep.ok and not rep.touches
     return d, path
 
 
@@ -378,7 +379,8 @@ def _excursion(d, p, q, rng):
         mx = (p.x + q.x) / 2 + snap_rat(rng.uniform(-0.6, 0.6))
         m = Pt(mx, p.y + snap_rat(rng.uniform(3.0, 4.5)))
         cand = PathPoly([p, m, q])
-        if not validate_path(cand, d).ok:
+        rep = validate_path(cand, d)
+        if not rep.ok or rep.touches:
             continue
         clear = True
         for _, ring in d.rings():

@@ -88,7 +88,8 @@ def test_gen_simply_connected(tmp_path):
     assert main(["gen", "--seed", "3", "--holes", "0", "--out", f]) == 0
     inst = read_instance(f)
     assert inst["domain"].holes == []
-    assert validate_path(inst["path"], inst["domain"]).ok
+    rep = validate_path(inst["path"], inst["domain"])
+    assert rep.ok and not rep.touches
 
 
 def test_instance_roundtrip_bytes(tmp_path):
@@ -127,6 +128,20 @@ MALFORMED = [
     '{"domain": {"outer": %s}, "path": [[1, 1], [2]]}' % _SQUARE,
     '{"domain": {"outer": %s, "holes": 5}}' % _SQUARE,
 ]
+
+
+def test_validate_names_vertex_outside_closed_domain(tmp_path, capsys):
+    # (0, 0) lies inside the hole
+    fp = write_d1(tmp_path, path=[["-3", "0"], ["0", "0"], ["3", "0"]])
+    assert main(["validate", fp]) == 1
+    assert capsys.readouterr().out.splitlines() == ["path: vertex 1 outside the closed domain", "invalid"]
+
+
+def test_validate_accepts_boundary_contact(tmp_path, capsys):
+    # the path runs along the hole's top edge from (-1, 1)
+    fp = write_d1(tmp_path, path=[["-3", "1"], ["-1", "1"], ["1", "1"], ["3", "0"]])
+    assert main(["validate", fp]) == 0
+    assert capsys.readouterr().out.splitlines() == ["path: valid only up to boundary contact", "valid"]
 
 
 def test_validate_parse_error(tmp_path, capsys):

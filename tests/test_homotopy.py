@@ -41,11 +41,12 @@ def brute_crossings(path, tri):
     return total
 
 
-# --- validation regimes ---
+# --- validation against the closed domain ---
 
 
 def test_strict_path_accepted(d1, over_path):
-    assert validate_path(over_path, d1).ok
+    rep = validate_path(over_path, d1)
+    assert rep.ok and not rep.touches
 
 
 def test_constant_path_accepted(d1):
@@ -56,28 +57,28 @@ def test_constant_path_accepted(d1):
 def test_path_through_hole_rejected(d1):
     p = PathPoly([(-3, 0), (3, 0)])
     rep = validate_path(p, d1)
+    # touching the boundary does not forgive crossing into the hole
     assert not rep.ok
-    assert rep.violations
-    # closure does not forgive crossing into the hole
-    assert not validate_path(PathPoly(p.vertices, closure=True), d1).ok
+    assert rep.violations == ["edge 0 crosses the boundary"]
 
 
 def test_boundary_touch_needs_closure(d1):
     # the tight answer runs along the hole's top edge
-    p = PathPoly(GOLDEN_OVER)
-    assert not validate_path(p, d1).ok
-    assert validate_path(PathPoly(p.vertices, closure=True), d1).ok
+    rep = validate_path(PathPoly(GOLDEN_OVER), d1)
+    assert rep.ok and rep.touches
 
 
 def test_vertex_outside_rejected_both_regimes(d1):
     p = PathPoly([(-3, 0), (0, 0), (3, 0)])  # (0,0) inside the hole
-    assert not validate_path(p, d1).ok
-    assert not validate_path(PathPoly(p.vertices, closure=True), d1).ok
+    rep = validate_path(p, d1)
+    assert not rep.ok
+    assert rep.violations == ["vertex 1 outside the closed domain"]
 
 
 def test_endpoint_on_boundary_allowed_strict(d1):
     p = PathPoly([(-1, 1), (-3, 3)])
-    assert validate_path(p, d1).ok
+    rep = validate_path(p, d1)
+    assert rep.ok and not rep.touches
 
 
 # --- crossing words ---
@@ -214,7 +215,7 @@ def _key(path, tri):
 def test_closure_path_passes_corners_inside(d1_tri, over_path, under_path):
     # the tight answer runs along the hole's top edge, so it passes the
     # corners (-1, 1) and (1, 1) through their fans on the upper side
-    touch = PathPoly(GOLDEN_OVER, closure=True)
+    touch = PathPoly(GOLDEN_OVER)
     assert homotopic(touch, over_path, d1_tri)
     assert not homotopic(touch, under_path, d1_tri)
     assert _key(touch, d1_tri) == _key(over_path, d1_tri)
@@ -225,14 +226,14 @@ def test_strict_form_inserts_corners_inside_edges(d1, d1_tri):
 
     along = PathPoly([(-3, 1), (3, 1)])
     form = strict_form(along, d1)
-    assert form == PathPoly([(-3, 1), (-1, 1), (1, 1), (3, 1)], closure=True)
+    assert form == PathPoly([(-3, 1), (-1, 1), (1, 1), (3, 1)])
     assert homotopic(form, PathPoly([(-3, 1), (0, 3), (3, 1)]), d1_tri)
     assert not homotopic(form, PathPoly([(-3, 1), (0, -3), (3, 1)]), d1_tri)
     assert tighten(along, d1).path.vertices == along.vertices
 
 
 def test_word_of_handles_closure_members(d1_tri, over_path):
-    touch = PathPoly(GOLDEN_OVER, closure=True)
+    touch = PathPoly(GOLDEN_OVER)
     w = word_of(touch, d1_tri)
     assert w.letters == crossing_word(strict_form(touch, d1_tri.domain), d1_tri).letters
     assert canonical_class_key(w, d1_tri, touch.start, touch.end) == _key(over_path, d1_tri)
@@ -250,18 +251,32 @@ def test_general_position_triangulation_usable(d1, over_path, under_path):
 
 def test_general_position_triangulation_pushes_off_closure_paths(d1):
     # a closure path is read as it is, with no point moved off the boundary
-    touch = PathPoly([(-3, 1), (1, 1), (3, 0)], closure=True)
+    touch = PathPoly([(-3, 1), (1, 1), (3, 0)])
     tri = triangulate(d1)
     form = strict_form(touch, d1)
-    assert form == PathPoly([(-3, 1), (-1, 1), (1, 1), (3, 0)], closure=True)
+    assert form == PathPoly([(-3, 1), (-1, 1), (1, 1), (3, 0)])
     assert word_of(touch, tri).letters == crossing_word(form, tri).letters
 
 
 def test_strict_form(d1, over_path):
     # a path in the open domain is its own strict form
     assert strict_form(over_path, d1) == over_path
-    # one that touches the boundary only at its vertices is a closure path
+    # one that touches the boundary only at its vertices has no corner to insert
     touch = PathPoly(GOLDEN_OVER)
-    assert strict_form(touch, d1) == PathPoly(GOLDEN_OVER, closure=True)
+    assert strict_form(touch, d1) == PathPoly(GOLDEN_OVER)
     with pytest.raises(InvalidPath, match="^path: "):
         strict_form(PathPoly([(-3, 0), (3, 0)]), d1)
+
+
+def test_strict_form_validates_once(d1, monkeypatch):
+    import tautpath.homotopy as homotopy
+
+    calls = []
+
+    def counting(path, d):
+        calls.append(path)
+        return validate_path(path, d)
+
+    monkeypatch.setattr(homotopy, "validate_path", counting)
+    strict_form(PathPoly(GOLDEN_OVER), d1)
+    assert len(calls) == 1

@@ -20,7 +20,6 @@ from tautpath.tighten import (
     tighten,
     funnel_shortest,
     certify_efficient,
-    locally_shortest_check,
     chord_meeting_components,
     replace_move,
     TightenOptions,
@@ -30,7 +29,7 @@ from tautpath.tighten import (
     _taut_vertex_violations,
 )
 from conftest import replay_persistence_violations
-from oracles import probe_taut_vertex_violations
+from oracles import locally_shortest_check, probe_taut_vertex_violations
 
 SQRT5 = math.sqrt(5.0)
 
@@ -122,7 +121,7 @@ def test_hole_tangent_chord_flattens_middle(d1, over_path):
 
 
 def test_move_on_connected_chord_is_identity(d1):
-    golden = PathPoly(GOLDEN_OVER, closure=True)
+    golden = PathPoly(GOLDEN_OVER)
     sleeve, spath = _as_sleeve_path(golden, d1)
     line = LineSpec.through(Pt(-1, 1), Pt(1, 1))
     for chord in line_lifts(line, sleeve):
@@ -168,7 +167,7 @@ def test_certificate_flags_wrong_bend(d1):
     ],
 )
 def test_certificate_corner_bends(d1, pts, blocked):
-    cert = certify_efficient(PathPoly(pts, closure=True), d1, lines=0)
+    cert = certify_efficient(PathPoly(pts), d1, lines=0)
     assert cert.taut_vertices_ok is blocked
 
 
@@ -207,7 +206,7 @@ def test_corner_rule_matches_probe():
 
 
 def test_locally_shortest_check_examples(d1, over_path):
-    golden = PathPoly(GOLDEN_OVER, closure=True)
+    golden = PathPoly(GOLDEN_OVER)
     assert locally_shortest_check(golden, d1, grid=10)
     assert not locally_shortest_check(over_path, d1, grid=10)
 
@@ -254,8 +253,8 @@ def test_length_trace_monotone(d1, loop_path):
 
 
 def test_tighten_idempotent(d1):
-    # closure input gets nudged off the boundary, then pulled back tight
-    golden = PathPoly(GOLDEN_OVER, closure=True)
+    # an input along the boundary is read as it is and is already tight
+    golden = PathPoly(GOLDEN_OVER)
     rep = tighten(golden, d1)
     assert rep.path.vertices == as_pts(GOLDEN_OVER)
 
@@ -287,7 +286,7 @@ def _grid_paths(d, count):
     out = []
     while len(out) < count:
         pts = [(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(rng.randint(2, 5))]
-        if validate_path(PathPoly(pts, closure=True), d).ok:
+        if validate_path(PathPoly(pts), d).ok:
             out.append(PathPoly(pts))
     return out
 
