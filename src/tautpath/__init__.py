@@ -43,7 +43,6 @@ from .tighten import (
     ChordMismatch,
     Move,
     NonTerminating,
-    TightenOptions,
     TightenReport,
     certify_efficient,
     funnel_shortest,
@@ -70,7 +69,6 @@ __all__ = [
     "Segment",
     "Sleeve",
     "SleevePath",
-    "TightenOptions",
     "TightenReport",
     "Triangulation",
     "TriangulationError",

@@ -385,9 +385,18 @@ def _merge_holes(d: PolygonalDomain):
         ring_pts = [pos[i] for i in ring]
         chosen = None
         for _, hi, rj in cands:
-            if pos[ring[rj]] == hole[hi]:
+            v = ring_pts[rj]
+            if v == hole[hi]:
                 continue
-            if _bridge_visible(d, hole[hi], pos[ring[rj]], ring_pts, pending):
+            # a point the ring passes more than once takes the bridge only
+            # at the pass whose wedge, counterclockwise from the next ring
+            # point to the previous one, strictly holds the bridge
+            if ring_pts.count(v) > 1:
+                prev, nxt = ring_pts[rj - 1], ring_pts[(rj + 1) % len(ring)]
+                left, right = orient(v, nxt, hole[hi]) > 0, orient(v, hole[hi], prev) > 0
+                if not ((left and right) if orient(v, nxt, prev) > 0 else (left or right)):
+                    continue
+            if _bridge_visible(d, hole[hi], v, ring_pts, pending):
                 chosen = (hi, rj)
                 break
         if chosen is None:

@@ -53,12 +53,6 @@ class NonTerminating(Exception):
 
 
 @dataclass
-class TightenOptions:
-    certify_lines: int = 0
-    seed: int = 0  # seeds the certificate's random lines
-
-
-@dataclass
 class Move:
     kind: str  # "spur" or "chord"
     line: Optional[LineSpec]
@@ -88,7 +82,6 @@ class TightenReport:
     spath: SleevePath
     moves: list
     length_trace: list
-    certificate: Optional[CertificateSummary]
     replay_base: tuple
     word_length: int
     wall_time: float
@@ -116,7 +109,7 @@ def chord_meeting_components(spath: SleevePath, chord) -> list:
             continue
         win = spath.edge_portal_windows(i)
         if hit[0] == "pt":
-            s_pt = seg_param(a, b, hit[1]) if a != b else rat(0)
+            s_pt = seg_param(a, b, hit[1]) if a != b else None
             t_pt = line_param(line, hit[1])
         else:
             t_a = line_param(line, a)
@@ -128,8 +121,9 @@ def chord_meeting_components(spath: SleevePath, chord) -> list:
                 continue
             lo_t, hi_t = chord.span_at(j)
             if hit[0] == "pt":
-                if vlo <= s_pt <= vhi and lo_t <= t_pt <= hi_t:
-                    recs.append((i, s_pt, s_pt, j))
+                # a pivot edge (a == b) sits at the point over its whole window
+                if lo_t <= t_pt <= hi_t and (s_pt is None or vlo <= s_pt <= vhi):
+                    recs.append((i, vlo, vhi, j) if s_pt is None else (i, s_pt, s_pt, j))
                 continue
             # whole edge collinear with the line; map t back to s
             tl, th = (t_a, t_b) if t_a <= t_b else (t_b, t_a)
@@ -369,9 +363,9 @@ def _as_sleeve_path(path: PathPoly, d: PolygonalDomain, moves=None, trace=None):
 # ---------------------------------------------------------------- tighten
 
 
-def tighten(path, domain: PolygonalDomain, options: Optional[TightenOptions] = None) -> TightenReport:
+def tighten(path, domain: PolygonalDomain) -> TightenReport:
+    """The taut path homotopic to `path`; certify it with `certify_efficient`."""
     t0 = time.perf_counter()
-    opt = options or TightenOptions()
     p = path if isinstance(path, PathPoly) else PathPoly(path)
     moves: list = []
     trace = [polyline_length(p.vertices)]
@@ -399,18 +393,13 @@ def tighten(path, domain: PolygonalDomain, options: Optional[TightenOptions] = N
     out_pts = dedupe_collinear(spath.verts)
     if len(out_pts) == 1:
         out_pts = [out_pts[0], out_pts[0]]
-    out = PathPoly(out_pts)
-    cert = None
-    if opt.certify_lines:
-        cert = certify_efficient(out, domain, lines=opt.certify_lines, seed=opt.seed, _pre=(sleeve, spath))
     return TightenReport(
-        path=out,
+        path=PathPoly(out_pts),
         tri=tri,
         sleeve=sleeve,
         spath=spath,
         moves=moves,
         length_trace=trace,
-        certificate=cert,
         replay_base=replay_base,
         word_length=len(sleeve.portals),
         wall_time=time.perf_counter() - t0,
@@ -507,17 +496,14 @@ def certify_efficient(
     lines: int = 1000,
     seed=0,
     stop_after: Optional[int] = None,
-    _pre=None,
 ) -> CertificateSummary:
     """Check the connected-meeting property over the vertex-pair line
     family plus `lines` random lines, and that every bend is a blocked
-    domain corner.  `stop_after` ends the line scan once that many
+    domain corner.  The lines are lifted into the sleeve of `path`'s own
+    crossing word.  `stop_after` ends the line scan once that many
     violations are recorded; leave it None for a full scan."""
     p = path if isinstance(path, PathPoly) else PathPoly(path)
-    if _pre is not None:
-        sleeve, spath = _pre
-    else:
-        sleeve, spath = _as_sleeve_path(p, d)
+    sleeve, spath = _as_sleeve_path(p, d)
     fam = _family_lines(sleeve.tri, [p.start, p.end])
     rnd = _random_lines(d, lines, seed)
     seen = set()

@@ -30,7 +30,6 @@ from tautpath.homotopy import (
 )
 from tautpath.pathlen import len_compare, path_len
 from tautpath.tighten import (
-    TightenOptions,
     certify_efficient,
     funnel_shortest,
     tighten,
@@ -50,8 +49,6 @@ _NAMES = {
 for _n, _nm in _NAMES.items():
     crit_register(_n, _nm)
 
-_OPTS = TightenOptions(certify_lines=0)
-
 
 # ------------------------------------------------------------- fixtures
 
@@ -67,7 +64,7 @@ def batch200():
     t0 = time.perf_counter()
     for inst in insts:
         d, p = inst["domain"], inst["path"]
-        rep = tighten(p, d, _OPTS)
+        rep = tighten(p, d)
         alt = dedupe_collinear(
             funnel_shortest(build_sleeve(word_of(p, rep.tri), rep.tri), p.start, p.end)
         )
@@ -87,7 +84,7 @@ def insts20():
 
 @pytest.fixture(scope="module")
 def tight20(insts20):
-    return [tighten(inst["path"], inst["domain"], _OPTS) for inst in insts20]
+    return [tighten(inst["path"], inst["domain"]) for inst in insts20]
 
 
 @pytest.fixture(scope="module")
@@ -167,7 +164,7 @@ def test_criterion_1_convex_segment():
     crit_attempt(1)
     insts = [_convex_instance(s) for s in range(100)]
     t0 = time.perf_counter()
-    reports = [tighten(path, d, _OPTS) for d, path in insts]
+    reports = [tighten(path, d) for d, path in insts]
     elapsed = time.perf_counter() - t0
     for (d, path), rep in zip(insts, reports):
         assert list(rep.path.vertices) == [path.start, path.end]
@@ -204,7 +201,7 @@ def test_criterion_3_start_independence(insts20, tight20):
         rng = random.Random(4100 + i)
         for _ in range(49):
             start = perturb_homotopic(p, d, rng)
-            out = tighten(start, d, _OPTS).path
+            out = tighten(start, d).path
             assert list(out.vertices) == ref, inst["name"]
             worst_sup = max(worst_sup, arclen_sup_dist(ref, out.vertices))
     assert worst_sup < 1e-9
@@ -257,7 +254,7 @@ def test_criterion_5_persistence_replay(batch200, insts20, tight20, d1):
         [(-3, 0), (0, -3), (3, 0)],
         [(-3, 0), (0, 3), (3, 0), (0, -3), (-3, 0)],
     ):
-        rep = tighten(PathPoly([Pt(x, y) for x, y in coords]), d1, _OPTS)
+        rep = tighten(PathPoly([Pt(x, y) for x, y in coords]), d1)
         assert replay_persistence_violations(rep) == []
         checked += 1
     crit_pass(5, f"{checked} move logs replayed, zero persistence violations")
@@ -399,7 +396,7 @@ def test_criterion_8_tight_beats_samples():
     nsamp = 0
     for s in range(50):
         d, path = _roomy_instance(s)
-        rep = tighten(path, d, _OPTS)
+        rep = tighten(path, d)
         # finer sampling narrows the certified interval around the same
         # functional value; it does not change the curve
         lt = path_len(subdivide(rep.path, 0.04), k_max=6, refine=0)
@@ -426,7 +423,7 @@ def test_criterion_9_square_goldens(d1):
     top = PathPoly([Pt(-3, 0), Pt(0, 3), Pt(3, 0)])
     ov, olen = vg_shortest_in_class(d1, top)
     assert abs(olen - GOLD_TOP_LEN) <= 1e-9
-    rep = tighten(top, d1, _OPTS)
+    rep = tighten(top, d1)
     assert list(rep.path.vertices) == ov
     assert abs(polyline_length(rep.path.vertices) - olen) <= 1e-9
 
@@ -434,7 +431,7 @@ def test_criterion_9_square_goldens(d1):
     loop = PathPoly([Pt(-3, 0), Pt(0, -3), Pt(3, 0), Pt(0, 3), Pt(-3, 0)])
     lv, llen = vg_shortest_in_class(d1, loop)
     assert abs(llen - GOLD_LOOP_LEN) <= 1e-9
-    rep2 = tighten(loop, d1, _OPTS)
+    rep2 = tighten(loop, d1)
     assert list(rep2.path.vertices) == lv
     assert abs(polyline_length(rep2.path.vertices) - llen) <= 1e-9
     crit_pass(9, "oracle and pull-tight agree on both golden routes within 1e-9")

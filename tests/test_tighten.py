@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from tautpath.domain import triangulate
+from tautpath.domain import PolygonalDomain, triangulate
 from tautpath.geom import Pt, LineSpec, polyline_length, dedupe_collinear, on_segment
 from tautpath.homotopy import (
     PathPoly,
@@ -22,7 +22,6 @@ from tautpath.tighten import (
     certify_efficient,
     chord_meeting_components,
     replace_move,
-    TightenOptions,
     InvalidPath,
     _as_sleeve_path,
     _component_ends,
@@ -136,9 +135,8 @@ def test_move_on_connected_chord_is_identity(d1):
 
 
 def test_certificate_clean_after_tighten(d1, over_path):
-    rep = tighten(over_path, d1, TightenOptions(certify_lines=1000, seed=42))
-    cert = rep.certificate
-    assert cert is not None
+    rep = tighten(over_path, d1)
+    cert = certify_efficient(rep.path, d1, lines=1000, seed=42)
     assert cert.ok
     assert cert.violations == []
     assert cert.taut_vertices_ok
@@ -195,7 +193,7 @@ def test_corner_rule_matches_probe():
     clean = flagged = 0
     for inst in instance_batch(6, seed0=300, max_holes=3, spread=24):
         d = inst["domain"]
-        out = tighten(inst["path"], d, TightenOptions(certify_lines=0)).path
+        out = tighten(inst["path"], d).path
         paths = [out.vertices] + [perturb_homotopic(out, d, rng).vertices for _ in range(2)]
         for pts in paths + _corner_paths(d):
             got = _taut_vertex_violations(pts, d)
@@ -295,33 +293,32 @@ def test_tighten_path_with_an_end_on_an_interior_edge(d1, d1_tri):
     p = PathPoly(ON_EDGE_PATH)
     u, v = d1_tri.edge_pts((2, 7))
     assert (2, 7) in d1_tri.interior_edges and on_segment(p.end, u, v)
-    rep = tighten(p, d1, TightenOptions(certify_lines=200))
+    rep = tighten(p, d1)
     assert rep.path.vertices == as_pts([(-4, -3), (1, -1), (3, 2)])
-    assert rep.certificate.ok
-    assert funnel_shortest(rep.sleeve, p.start, p.end) == rep.path.vertices
     assert certify_efficient(rep.path, d1, lines=200).ok
+    assert funnel_shortest(rep.sleeve, p.start, p.end) == rep.path.vertices
 
 
 def test_tighten_path_in_no_general_position(d1):
-    rep = tighten(PathPoly(DEGENERATE_PATH), d1, TightenOptions(certify_lines=100))
+    rep = tighten(PathPoly(DEGENERATE_PATH), d1)
     assert rep.path.vertices == as_pts([(-3, -2), (-1, 1), (1, 1), (3, -2)])
-    assert rep.certificate.ok
+    assert certify_efficient(rep.path, d1, lines=100).ok
 
 
 def test_path_from_a_corner_starts_in_its_fan(d1):
     # the first edge leaves the corner (-5, -5) between two diagonals there
     p = PathPoly([(-5, -5), (0, -4), (3, -4)])
-    rep = tighten(p, d1, TightenOptions(certify_lines=100))
+    rep = tighten(p, d1)
     assert rep.path.vertices == as_pts([(-5, -5), (3, -4)])
-    assert rep.certificate.ok
+    assert certify_efficient(rep.path, d1, lines=100).ok
 
 
 def test_path_along_a_boundary_edge_is_pushed_off(d1):
     p = PathPoly([(0, -5), (-3, -5)])
     assert homotopic(p, PathPoly([(0, -5), (-1, -4), (-3, -5)]), triangulate(d1))
-    rep = tighten(p, d1, TightenOptions(certify_lines=100))
+    rep = tighten(p, d1)
     assert rep.path.vertices == p.vertices
-    assert rep.certificate.ok
+    assert certify_efficient(rep.path, d1, lines=100).ok
 
 
 def test_path_through_a_straight_corner(d1_straight):
@@ -334,9 +331,9 @@ def test_path_through_a_straight_corner(d1_straight):
     recs = crossing_word(strict_form(p, d1_straight), tri).records
     assert len(keys) == 3
     assert [(r.edge_index, r.t, r.eid) for r in recs if r.t == 1] == [(0, 1, tri.edge_id[k]) for k in keys]
-    rep = tighten(p, d1_straight, TightenOptions(certify_lines=100))
+    rep = tighten(p, d1_straight)
     assert rep.path.vertices == as_pts([(-3, -2), (3, -2)])
-    assert rep.certificate.ok
+    assert certify_efficient(rep.path, d1_straight, lines=100).ok
 
 
 def test_path_along_a_diagonal_between_corners(d1, d1_tri):
@@ -346,9 +343,9 @@ def test_path_along_a_diagonal_between_corners(d1, d1_tri):
     eid = d1_tri.edge_id[(3, 5)]
     assert d1_tri.edge_pts((3, 5)) == (Pt(-5, 5), Pt(-1, 1))
     assert eid not in {e for e, _ in word_of(p, d1_tri).letters}
-    rep = tighten(p, d1, TightenOptions(certify_lines=100))
+    rep = tighten(p, d1)
     assert rep.path.vertices == as_pts([(-4, 0), (-2, 0)])
-    assert rep.certificate.ok
+    assert certify_efficient(rep.path, d1, lines=100).ok
 
 
 def test_funnel_with_an_endpoint_on_a_portal(d1):
@@ -368,12 +365,13 @@ def test_degenerate_grid_corpus(d1, monkeypatch):
     from tautpath.domain import Triangulation
 
     paths = _grid_paths(d1, 200)
-    reps = [tighten(p, d1, TightenOptions(certify_lines=20)) for p in paths]
+    reps = [tighten(p, d1) for p in paths]
+    for p, rep in zip(paths, reps):
+        assert certify_efficient(rep.path, d1, lines=20).ok, p.vertices
     other = Triangulation(d1, D1_OTHER_TRIS)
     # `from tautpath import tighten` gives the function, not the module
     monkeypatch.setattr(sys.modules["tautpath.tighten"], "triangulate", lambda d: other)
     for p, rep in zip(paths, reps):
-        assert rep.certificate.ok, p.vertices
         assert homotopic(p, rep.path, rep.tri), p.vertices
         assert funnel_shortest(rep.sleeve, p.start, p.end) == rep.path.vertices
         _, olen = vg_shortest_in_class(d1, p, rep.tri)
@@ -381,6 +379,94 @@ def test_degenerate_grid_corpus(d1, monkeypatch):
         again = tighten(p, d1)
         assert again.tri is other
         assert again.path.vertices == rep.path.vertices, p.vertices
+
+
+# --- multi-hole grid domains ---
+
+
+def _square(x0, y0, x1, y1):
+    """The clockwise ring of an axis-parallel rectangle."""
+    return [(x0, y0), (x0, y1), (x1, y1), (x1, y0)]
+
+
+# four holes, three of them diamonds; paths from the corner (1, 1) start
+# with a walk around its fan
+CORNER_START = PolygonalDomain.from_coords(
+    _square(-8, -8, 8, 8)[::-1],
+    [
+        [(-4, 0), (-3, 1), (-2, 0), (-3, -1)],
+        [(2, 0), (3, 1), (4, 0), (3, -1)],
+        [(0, 2), (1, 3), (2, 2), (1, 1)],
+        _square(-2, -4, 2, -2),
+    ],
+)
+# the bridges of the second and third hole both end at the corner (-2, -1)
+SHARED_BRIDGE_HOLES = [_square(-4, -1, -2, 1), _square(2, -1, 4, 1), _square(-1, -4, 1, -2)]
+SHARED_BRIDGE = PolygonalDomain.from_coords(_square(-6, -6, 6, 6)[::-1], SHARED_BRIDGE_HOLES)
+SHARED_BRIDGE4 = PolygonalDomain.from_coords(
+    _square(-6, -6, 6, 6)[::-1], SHARED_BRIDGE_HOLES + [_square(-1, 2, 1, 4)]
+)
+# three rectangles whose top and bottom edges lie on two shared lines
+COLLINEAR_RECTS = PolygonalDomain.from_coords(
+    _square(-7, -5, 7, 5)[::-1], [_square(x, -2, x + 2, 2) for x in (-5, -1, 3)]
+)
+
+
+def test_pivot_edge_meets_a_line_over_its_whole_window():
+    # the sleeve path keeps the input's fan walk around (1, 1) as a
+    # zero-length edge over copies 0..2; the line y = 1 meets the path
+    # there and nowhere else
+    rep = tighten(PathPoly([(1, 1), (-1, 3), (0, 0), (3, 3)]), CORNER_START)
+    assert rep.spath.verts == as_pts([(1, 1), (1, 1), (2, 2), (3, 3)])
+    assert rep.spath.pos == [0, 2, 4, 4]
+    line = LineSpec.through(Pt(0, 1), Pt(1, 1))
+    assert line.key == (0, 1, 1)
+    assert [len(chord_meeting_components(rep.spath, ch)) for ch in line_lifts(line, rep.sleeve)] == [1]
+    assert certify_efficient(rep.path, CORNER_START, lines=100).ok
+
+
+@pytest.mark.parametrize("d", [SHARED_BRIDGE, SHARED_BRIDGE4], ids=["3holes", "4holes"])
+def test_bridges_that_share_a_corner_triangulate(d):
+    tri = triangulate(d)
+    assert len(tri.tris) == len(d.verts) + 2 * len(d.holes) - 2
+    p = PathPoly([(-5, -5), (-5, 5), (5, 5), (5, -5)])
+    rep = tighten(p, d)
+    assert rep.path.vertices == funnel_shortest(build_sleeve(word_of(p, tri), tri), p.start, p.end)
+    assert certify_efficient(rep.path, d, lines=100).ok
+
+
+def test_multi_hole_grid_corpus():
+    """Integer-grid paths, many of them starting or ending at hole corners,
+    in domains with shared lines through many corners.  Valid ones give
+    the funnel route of their class, certified; invalid ones are rejected."""
+    from oracles import vg_shortest_in_class
+
+    invalid = 0
+    for k, d in enumerate((CORNER_START, SHARED_BRIDGE, SHARED_BRIDGE4, COLLINEAR_RECTS)):
+        tri = triangulate(d)
+        corners = [v for ring in d.holes for v in ring]
+        rng = random.Random(k)
+        found = 0
+        while found < 25:
+            p = PathPoly([(rng.randint(-7, 7), rng.randint(-7, 7)) for _ in range(rng.randint(2, 4))])
+            r = rng.random()
+            if r < 0.5:
+                ends = [rng.choice(corners), p.end] if r < 0.3 else [p.start, rng.choice(corners)]
+                p = PathPoly([ends[0]] + p.vertices[1:-1] + [ends[1]])
+            if not validate_path(p, d).ok:
+                invalid += 1
+                with pytest.raises(InvalidPath):
+                    tighten(p, d)
+                continue
+            found += 1
+            out = tighten(p, d).path
+            assert out.vertices == funnel_shortest(build_sleeve(word_of(p, tri), tri), p.start, p.end), p.vertices
+            assert homotopic(p, out, tri), p.vertices
+            assert certify_efficient(out, d, lines=20).ok, p.vertices
+            if len(p.vertices) <= 3:
+                _, olen = vg_shortest_in_class(d, p, tri)
+                assert relclose(polyline_length(out.vertices), olen), p.vertices
+    assert invalid >= 100, invalid
 
 
 # --- one triangulation per domain ---
@@ -420,7 +506,7 @@ def test_chord_moves_follow_vertex_pair_lines(d1, over_path, loop_path):
     cases = [(d1, over_path), (d1, loop_path), (d1, PathPoly(ON_EDGE_PATH))]
     cases += [(inst["domain"], inst["path"]) for inst in instance_batch(8, seed0=40)]
     for d, p in cases:
-        rep = tighten(p, d, TightenOptions(seed=0))
+        rep = tighten(p, d)
         # a round's lines come from the path vertices at its start, which
         # earlier moves of the round may have removed
         pts = set(d.verts) | set(rep.replay_base[0])
@@ -429,7 +515,8 @@ def test_chord_moves_follow_vertex_pair_lines(d1, over_path, loop_path):
                 continue
             assert sum(line_side(mv.line, v) == 0 for v in pts) >= 2
             pts.update(mv.verts_after)
-        other = tighten(p, d, TightenOptions(seed=42))
+        # the moves are a function of the input alone
+        other = tighten(p, d)
         assert [(m.kind, m.line and m.line.key, m.verts_after, m.pos_after) for m in rep.moves] == [
             (m.kind, m.line and m.line.key, m.verts_after, m.pos_after) for m in other.moves
         ]
