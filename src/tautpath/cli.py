@@ -15,6 +15,7 @@ import os
 import random
 import sys
 import tempfile
+from dataclasses import asdict
 
 from .domain import PolygonalDomain, TriangulationError, triangulate, validate
 from .geom import GeomError, Pt, rat
@@ -366,13 +367,7 @@ def _cmd_tighten(args) -> int:
             "vertices": [
                 [coord_str(p.x), coord_str(p.y)] for p in rep.path.vertices
             ],
-            "certificate": None
-            if cert is None
-            else {
-                "lines_sampled": cert.lines_sampled,
-                "violations": cert.violations,
-                "taut_vertices_ok": cert.taut_vertices_ok,
-            },
+            "certificate": None if cert is None else asdict(cert),
             "wall_time": rep.wall_time,
         }
         _atomic_write(args.json, json.dumps(record, indent=2, sort_keys=True) + "\n")

@@ -122,7 +122,7 @@ def chord_meeting_components(spath: SleevePath, chord) -> list:
             lo_t, hi_t = chord.span_at(j)
             if hit[0] == "pt":
                 # a pivot edge (a == b) sits at the point over its whole window
-                if lo_t <= t_pt <= hi_t and (s_pt is None or vlo <= s_pt <= vhi):
+                if (s_pt is None or vlo <= s_pt <= vhi) and lo_t <= t_pt <= hi_t:
                     recs.append((i, vlo, vhi, j) if s_pt is None else (i, s_pt, s_pt, j))
                 continue
             # whole edge collinear with the line; map t back to s
