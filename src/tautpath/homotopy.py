@@ -3,21 +3,23 @@
 A path is valid when it lies in the closed domain; validate_path checks
 that once, and says whether the path touches the boundary on the way.  A
 valid path is encoded by its crossing word: the ordered sequence of
-(interior edge, direction) transversal crossings, with degenerate
-positions decided by an infinitesimal shift.  Where the path
-passes a domain corner it is read as passing just inside the domain,
-through the fan of triangles at that corner.  Reduced words classify
-homotopy classes rel endpoints (after a normalization at endpoints that
-sit on triangulation vertices), the sleeve of a reduced word is the
-chain of triangle copies the class runs through, and lifted chords are
-the pieces of a line's preimage inside that sleeve.
+(interior edge, direction) transversal crossings, read in one walk along
+the path through the triangulation, with degenerate positions decided by
+an infinitesimal shift.  Where the path passes a domain corner it is read
+as passing just inside the domain, through the fan of triangles at that
+corner, and the corner becomes a vertex of the path's strict form.
+Reduced words classify homotopy classes rel endpoints (after a
+normalization at endpoints that sit on triangulation vertices), the
+sleeve of a reduced word is the chain of triangle copies the class runs
+through, and lifted chords are the pieces of a line's preimage inside
+that sleeve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .domain import InvalidPath, PolygonalDomain, Triangulation, ValidationReport, locate
+from .domain import InvalidPath, PolygonalDomain, Triangulation, ValidationReport, locate, triangulate
 from .geom import (
     LineSpec,
     Pt,
@@ -146,11 +148,13 @@ class Crossing:
 
 class CrossingWord:
     """Sequence of (interior edge id, direction) crossings in path order,
-    plus the triangle the path starts in."""
+    the triangles the path starts and ends in, and the strict form `path`
+    whose edges the records index."""
 
-    __slots__ = ("letters", "start_tri", "end_tri", "records")
+    __slots__ = ("path", "letters", "start_tri", "end_tri", "records")
 
-    def __init__(self, letters, start_tri, end_tri, records=None):
+    def __init__(self, path, letters, start_tri, end_tri, records):
+        self.path = path
         self.letters = tuple(letters)
         self.start_tri = start_tri
         self.end_tri = end_tri
@@ -187,112 +191,117 @@ def _side(u: Pt, v: Pt, x: Pt) -> int:
     return orient(u, v, x) or _tie(v - u)
 
 
-def _stub_tri(tri: Triangulation, m: Pt, cands=None):
-    """Triangle among `cands` (default all) whose open region holds
-    m + delta.  A stub on a boundary edge whose shift leaves the domain
-    takes that edge's only triangle; None when m is outside."""
+def _stub_tri(tri: Triangulation, m: Pt):
+    """Triangle whose open region holds m + delta.  A point on a boundary
+    edge whose shift leaves the domain takes that edge's only triangle;
+    None when m is outside."""
     verts, tris = tri.verts, tri.tris
-    cands = range(len(tris)) if cands is None else cands
-    for ti in cands:
-        i, j, k = tris[ti]
+    for ti, (i, j, k) in enumerate(tris):
         a, b, c = verts[i], verts[j], verts[k]
         if _side(a, b, m) > 0 and _side(b, c, m) > 0 and _side(c, a, m) > 0:
             return ti
-    for ti in cands:
-        i, j, k = tris[ti]
+    for ti, (i, j, k) in enumerate(tris):
         for u, v in ((i, j), (j, k), (k, i)):
             if (min(u, v), max(u, v)) in tri.boundary_edges and on_segment(m, verts[u], verts[v]):
                 return ti
     return None
 
 
-def _start_tri(tri: Triangulation, path: PathPoly, records):
-    """Triangle the path starts in: the one holding its stub (the path
-    before the first crossing).  A constant path at a vertex takes the
-    smallest member of the vertex's fan."""
-    pts = path.vertices
-    if path.is_constant():
-        if tri.vertex_at(pts[0]) is not None:
-            return tri.tri_containing(pts[0])[0]
-        stub = pts[0]
-    elif records and records[0].edge_index == 0:
-        stub = lerp(pts[0], pts[1], records[0].t / 2)
-    else:
-        stub = lerp(pts[0], pts[1], rat(1) / 2)
-    start = _stub_tri(tri, stub)
-    if start is None:
-        raise InvalidPath("path starts outside the triangulated domain")
-    return start
+def _fan_tri(tri: Triangulation, vi: int, chain, x: Pt):
+    """Fan triangle that a path arriving at or leaving the corner c =
+    verts[vi] sits in next to c, given its neighbouring vertex x: the one
+    whose wedge holds x + delta, else the fan-end triangle along whose
+    boundary edge the path runs."""
+    verts, c = tri.verts, tri.verts[vi]
+    # a second, closed pass finds x along a boundary edge at c whose shift
+    # leaves the domain
+    for closed in (False, True):
+        for ti in chain:
+            tpl = tri.tris[ti]
+            w1, w2 = verts[tpl[tpl.index(vi) - 2]], verts[tpl[tpl.index(vi) - 1]]
+            if closed and orient(c, w1, x) >= 0 and orient(w2, c, x) >= 0:
+                return ti
+            if not closed and _side(c, w1, x) > 0 and _side(w2, c, x) > 0:
+                return ti
 
 
-def _corner_letters(tri: Triangulation, vi: int, a: Pt, c: Pt, b: Pt, before, after):
-    """Fan walk of a path that arrives at corner c = verts[vi] from a,
-    with crossings `before` on that edge, and leaves towards b, with
-    crossings `after`.  Each end takes the fan triangle holding the point
-    halfway between c and the edge's nearest crossing or far end."""
+def _pass_corner(tri: Triangulation, vi: int, arrive: int, x: Pt, records, i: int) -> int:
+    """Records the fan walk at corner verts[vi] from triangle `arrive` to
+    the one the path leaves in towards x; returns that triangle."""
     chain, keys = _fan(tri, vi)
-    t_in = (before[-1].t + 1) / 2 if before else rat(1) / 2
-    t_out = after[0].t / 2 if after else rat(1) / 2
-    i = chain.index(_stub_tri(tri, lerp(a, c, t_in), chain))
-    j = chain.index(_stub_tri(tri, lerp(c, b, t_out), chain))
-    return _fan_walk_letters(tri, chain, keys, i, j)
+    leave = _fan_tri(tri, vi, chain, x)
+    letters = _fan_walk_letters(tri, chain, keys, chain.index(arrive), chain.index(leave))
+    last = records[-1] if records else None
+    if letters and last and last.edge_index == i - 1 and last.t == 1 and letters[0] == (last.eid, -last.sign):
+        # the edge runs along the diagonal it crosses at both ends: read it
+        # on the side it arrives from
+        records.pop()
+        letters = letters[1:]
+    records.extend(Crossing(i, rat(1), eid, sign) for eid, sign in letters)
+    return leave
 
 
 def crossing_word(path: PathPoly, tri: Triangulation) -> CrossingWord:
-    """Raw crossing word of a path in the closed domain whose edges hold
-    no domain corner inside them (see strict_form).  A path edge crosses
-    a diagonal when, with ties broken by the shift delta, its ends lie on
-    opposite sides of the diagonal and the diagonal's ends on opposite
-    sides of the edge; an edge skips the diagonals at its ends' corners.
-    The path passes an inner vertex on a corner inside the domain: it
+    """Crossing word of a path in the closed domain, read in one straight
+    walk through the triangulation (Devillers, Pion & Teillaud 2002).
+
+    Each edge, shifted by delta, goes from triangle to triangle, and every
+    diagonal it leaves a triangle through is one letter; an edge that ends
+    on a boundary edge stops in that edge's triangle.  A domain corner on
+    an edge becomes a vertex of the word's strict form `path`, whose edges
+    the records index.  The path passes a corner inside the domain: it
     crosses the fan diagonals between the triangles it arrives and leaves
     in, recorded at the end (t = 1) of the arriving edge."""
     pts = path.vertices
-    corner = [tri.vertex_at(p) for p in pts]
-    keys = tri.interior_edges
-    epts = [tri.edge_pts(k) for k in keys]
-    per_edge = []
-    for i in range(len(pts) - 1):
-        a, b = pts[i], pts[i + 1]
-        ca, cb = corner[i], corner[i + 1]
-        lox, hix = min(a.fx, b.fx), max(a.fx, b.fx)
-        loy, hiy = min(a.fy, b.fy), max(a.fy, b.fy)
-        ab_tie = None
-        local = []
-        for eid, (u, v) in enumerate(epts):
-            # rounding to floats keeps order, so disjoint float boxes are disjoint
-            if max(u.fx, v.fx) < lox or hix < min(u.fx, v.fx) or max(u.fy, v.fy) < loy or hiy < min(u.fy, v.fy):
+    vi = tri.vertex_at(pts[0])
+    if vi is None:
+        start = _stub_tri(tri, pts[0])
+    else:
+        chain = _fan(tri, vi)[0]
+        start = min(chain) if path.is_constant() else _fan_tri(tri, vi, chain, pts[1])
+    if start is None:
+        raise InvalidPath("path starts outside the triangulated domain")
+    if path.is_constant():
+        return CrossingWord(path, [], start, start, [])
+    verts, tris = tri.verts, tri.tris
+    cur, out, records = start, [pts[0]], []
+    for n in range(len(pts) - 1):
+        a, b = pts[n], pts[n + 1]
+        tie = -_tie(b - a)
+        at = {}  # vertex -> orient(a, b, vertex)
+        t0, first = 0, len(records)  # the strict edge from out[-1] starts at t0
+        while True:
+            at.update((w, orient(a, b, verts[w])) for w in tris[cur] if w not in at)
+            ahead = [(seg_param(a, b, verts[w]), w) for w in tris[cur] if at[w] == 0]
+            ahead = [tw for tw in ahead if t0 < tw[0] <= 1]
+            if ahead:
+                # the nearest corner ahead ends a strict edge, whose
+                # crossings were read as parameters up to b
+                tc, c = min(ahead)
+                if tc < 1:
+                    s = (tc - t0) / (1 - t0)
+                    records[first:] = [Crossing(r.edge_index, r.t / s, r.eid, r.sign) for r in records[first:]]
+                out.append(verts[c])
+                if tc < 1 or n + 2 < len(pts):
+                    cur = _pass_corner(tri, c, cur, b if tc < 1 else pts[n + 2], records, len(out) - 2)
+                if tc == 1:
+                    break
+                t0, first = tc, len(records)
                 continue
-            sa = _side(u, v, a)
-            if sa == _side(u, v, b):
-                continue
-            if ab_tie is None:
-                ab_tie = -_tie(b - a)
-            if (orient(a, b, u) or ab_tie) == (orient(a, b, v) or ab_tie):
-                continue
-            if ca in keys[eid] or cb in keys[eid]:
-                continue
-            uv = v - u
-            t = cross(u - a, uv) / cross(b - a, uv)
-            local.append(Crossing(i, t, eid, sa))
-        local.sort(key=lambda c: c.t)
-        per_edge.append(local)
-    records = []
-    for i, local in enumerate(per_edge):
-        records.extend(local)
-        if i + 1 < len(per_edge) and corner[i + 1] is not None:
-            letters = _corner_letters(tri, corner[i + 1], pts[i], pts[i + 1], pts[i + 2], local, per_edge[i + 1])
-            last = records[-1] if records else None
-            if letters and not local and last and last.edge_index == i - 1 and last.t == 1 and letters[0] == (last.eid, -last.sign):
-                # the edge runs along the diagonal it crosses at both ends:
-                # read it on the side it arrives from
-                records.pop()
-                letters = letters[1:]
-            records.extend(Crossing(i, rat(1), eid, sign) for eid, sign in letters)
-    start = _start_tri(tri, path, records)
-    letters = [(c.eid, c.sign) for c in records]
-    end = walk_triangles(tri, start, letters)[-1] if letters else start
-    return CrossingWord(letters, start, end, records=records)
+            # the shifted line leaves the triangle through the edge (u, v),
+            # in counterclockwise order, with u right and v left of it
+            i, j, k = tris[cur]
+            ex = [(u, v) for u, v in ((i, j), (j, k), (k, i)) if (at[u] or tie) < 0 < (at[v] or tie)]
+            key = tuple(sorted(ex[0])) if ex else None
+            if key is None or key in tri.boundary_edges or _side(*tri.edge_pts(ex[0]), b) > 0:
+                out.append(b)
+                break
+            u, v = tri.edge_pts(key)
+            t = cross(u - out[-1], v - u) / cross(b - out[-1], v - u)
+            records.append(Crossing(len(out) - 1, t, tri.edge_id[key], 1 if key == ex[0] else -1))
+            owners = tri.edge_tris[key]
+            cur = owners[0] if owners[1] == cur else owners[1]
+    return CrossingWord(PathPoly(out), [(r.eid, r.sign) for r in records], start, cur, records)
 
 
 def reduce_word(letters):
@@ -396,26 +405,19 @@ def canonical_class_key(word: CrossingWord, tri: Triangulation, p: Pt, q: Pt):
     return (start, reduce_word(letters))
 
 
-def strict_form(path: PathPoly, d: PolygonalDomain) -> PathPoly:
-    """The path itself when it meets the boundary at most at its ends.
-    Otherwise every domain corner inside one of its edges is inserted as a
-    vertex, the form crossing_word reads.  Raises InvalidPath when the
-    path leaves the closed domain."""
-    rep = validate_path(path, d)
+def word_of(path: PathPoly, tri: Triangulation) -> CrossingWord:
+    """Crossing word of a path, which must lie in the closed domain."""
+    rep = validate_path(path, tri.domain)
     if not rep.ok:
         raise InvalidPath("path: " + "; ".join(rep.violations))
-    if not rep.touches:
-        return path
-    pts = path.vertices[:1]
-    for a, b in zip(path.vertices, path.vertices[1:]):
-        inner = [c for c in d.verts if c != a and c != b and on_segment(c, a, b)]
-        pts += sorted(inner, key=lambda c: seg_param(a, b, c)) + [b]
-    return PathPoly(pts)
+    return crossing_word(path, tri)
 
 
-def word_of(path: PathPoly, tri: Triangulation) -> CrossingWord:
-    """Crossing word of a path's strict form."""
-    return crossing_word(strict_form(path, tri.domain), tri)
+def strict_form(path: PathPoly, d: PolygonalDomain) -> PathPoly:
+    """The path with every domain corner inside one of its edges inserted
+    as a vertex: the form whose edges crossing records index.  Raises
+    InvalidPath when the path leaves the closed domain."""
+    return word_of(path, triangulate(d)).path
 
 
 def homotopic(p1: PathPoly, p2: PathPoly, tri: Triangulation) -> bool:

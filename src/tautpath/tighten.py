@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import random
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
@@ -40,7 +41,7 @@ from .homotopy import (
     build_sleeve,
     crossing_word,
     line_lifts,
-    strict_form,
+    word_of,
 )
 
 
@@ -293,13 +294,13 @@ def _first_cancelling(letters):
     return None
 
 
-def _snip_spur(path: PathPoly, word: CrossingWord, i: int) -> PathPoly:
-    """Cut the out-and-back stretch around cancelling crossings i, i+1 and
-    bridge it with a straight segment inside the triangle both sides sit
-    in."""
+def _snip_spur(word: CrossingWord, i: int) -> PathPoly:
+    """Cut the word's path around cancelling crossings i, i+1 and bridge
+    the out-and-back stretch with a straight segment inside the triangle
+    both sides sit in."""
     recs = word.records
     ra, rb = recs[i], recs[i + 1]
-    pts = path.vertices
+    pts = word.path.vertices
     if i > 0 and recs[i - 1].edge_index == ra.edge_index:
         ea, ta = ra.edge_index, (recs[i - 1].t + ra.t) / 2
     else:
@@ -320,44 +321,33 @@ def _snip_spur(path: PathPoly, word: CrossingWord, i: int) -> PathPoly:
     return PathPoly(out)
 
 
-def _remove_spurs(path: PathPoly, word: CrossingWord, tri: Triangulation, moves=None, trace=None):
-    """Shorten the path, whose raw crossing word is `word`, until that word
-    is freely reduced."""
+def _remove_spurs(word: CrossingWord, tri: Triangulation, moves=None, trace=None) -> CrossingWord:
+    """Shorten the word's path until its raw crossing word is freely
+    reduced."""
     limit = len(word.letters) // 2 + 2
     guard = 0
     while (i := _first_cancelling(word.letters)) is not None:
         guard += 1
         if guard > limit:
             raise NonTerminating("spur removal failed to reduce the word")
-        path = _snip_spur(path, word, i)
+        path = _snip_spur(word, i)
         if moves is not None:
             moves.append(Move("spur", None, -1, None, None, list(path.vertices), None))
         if trace is not None:
             trace.append(polyline_length(path.vertices))
         word = crossing_word(path, tri)
-    return path, word
-
-
-def _positions_from_records(word: CrossingWord, nverts: int):
-    recs = word.records or []
-    pos = []
-    k = 0
-    for i in range(nverts):
-        while k < len(recs) and recs[k].edge_index < i:
-            k += 1
-        pos.append(k)
-    return pos
+    return word
 
 
 def _as_sleeve_path(path: PathPoly, d: PolygonalDomain, moves=None, trace=None):
     """(sleeve, sleeve path) of a valid path: its strict form with the
     spurs removed, positioned by its own crossing records."""
     tri = triangulate(d)
-    strict_p = strict_form(path, d)
-    strict_p, word = _remove_spurs(strict_p, crossing_word(strict_p, tri), tri, moves, trace)
+    word = _remove_spurs(word_of(path, tri), tri, moves, trace)
     sleeve = build_sleeve(word, tri)
-    pos = _positions_from_records(word, len(strict_p.vertices))
-    return sleeve, SleevePath(sleeve, list(strict_p.vertices), pos)
+    edges = [r.edge_index for r in word.records]
+    pos = [bisect_left(edges, i) for i in range(len(word.path.vertices))]
+    return sleeve, SleevePath(sleeve, list(word.path.vertices), pos)
 
 
 # ---------------------------------------------------------------- tighten
@@ -370,7 +360,7 @@ def tighten(path, domain: PolygonalDomain) -> TightenReport:
     moves: list = []
     trace = [polyline_length(p.vertices)]
     # InvalidPath comes from triangulate for an invalid domain, and from
-    # strict_form for a path that leaves it
+    # word_of for a path that leaves it
     sleeve, spath = _as_sleeve_path(p, domain, moves, trace)
     tri = sleeve.tri
     replay_base = (list(spath.verts), list(spath.pos))

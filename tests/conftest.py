@@ -50,10 +50,33 @@ def snap_rat(v: float, denom: int = 1 << 14):
     return rat(round(v * denom)) / denom
 
 
+def _fdist2(p: Pt, a: Pt, b: Pt) -> float:
+    """Squared distance from p to the segment [a, b], in floats."""
+    dx, dy = b.fx - a.fx, b.fy - a.fy
+    wx, wy = p.fx - a.fx, p.fy - a.fy
+    s = wx * dx + wy * dy
+    if s <= 0:
+        return wx * wx + wy * wy
+    ln = dx * dx + dy * dy
+    if s >= ln:
+        ex, ey = p.fx - b.fx, p.fy - b.fy
+        return ex * ex + ey * ey
+    c = wx * dy - wy * dx
+    return c * c / ln
+
+
 def _clearance2(path: PathPoly, d: PolygonalDomain):
     """Smallest positive squared distance between path edges and boundary
-    edges that do not touch each other."""
-    best = None
+    edges that do not touch each other, exact.
+
+    Floats screen the point-segment candidates.  With M the largest
+    coordinate magnitude and u = 2**-53, a float value is within 144uM**2
+    of the exact one: rounding the points moves a distance by at most
+    2*sqrt(2)uM, so its square by at most 16uM**2, and each of _fdist2's
+    formulas (a sum of squares, or a squared cross product over |b - a|**2)
+    is off by at most 16u|p - a|**2 <= 128uM**2.  So with E = 256uM**2 the
+    exact minimum is among the candidates within 2E of the float minimum."""
+    cands = []
     for i in range(len(path.vertices) - 1):
         a, b = path.vertices[i], path.vertices[i + 1]
         for rid, ring in d.rings():
@@ -62,15 +85,14 @@ def _clearance2(path: PathPoly, d: PolygonalDomain):
                 c, e = ring[j], ring[(j + 1) % n]
                 if segments_intersect(Segment(a, b), Segment(c, e))[0] != "disjoint":
                     continue
-                m = min(
-                    point_seg_dist2(a, c, e),
-                    point_seg_dist2(b, c, e),
-                    point_seg_dist2(c, a, b),
-                    point_seg_dist2(e, a, b),
-                )
-                if best is None or m < best:
-                    best = m
-    return best
+                cands += [(a, c, e), (b, c, e), (c, a, b), (e, a, b)]
+    if not cands:
+        return None
+    m = max(max(abs(p.fx), abs(p.fy)) for p in path.vertices + d.verts)
+    keep = 2 * (256 * 2.0**-53 * m * m + 1e-290)
+    fd = [_fdist2(*c) for c in cands]
+    lo = min(fd)
+    return min(point_seg_dist2(*c) for c, f in zip(cands, fd) if f <= lo + keep)
 
 
 def perturb_homotopic(path: PathPoly, d: PolygonalDomain, rng: random.Random, wiggles: int = 3) -> PathPoly:

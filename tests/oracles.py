@@ -12,6 +12,10 @@ edges.
 
 `locally_shortest_check` compares every subpath between grid points with
 the funnel optimum between its ends, an O(grid^2) probe of shortness.
+
+`scan_crossing_word` reads a path's crossing word by testing every
+domain corner and every diagonal against every path edge, the reading
+the library's triangulation walk must reproduce.
 """
 
 from __future__ import annotations
@@ -20,8 +24,20 @@ import itertools
 import math
 
 from tautpath import PathPoly, triangulate, validate_path
-from tautpath.geom import Pt, dist2, lerp, orient, polyline_length, rat, seg_length
-from tautpath.homotopy import Sleeve, canonical_class_key, word_of
+from tautpath.geom import Pt, cross, dist2, lerp, on_segment, orient, polyline_length, rat, seg_length, seg_param
+from tautpath.homotopy import (
+    Crossing,
+    CrossingWord,
+    InvalidPath,
+    Sleeve,
+    _fan,
+    _fan_walk_letters,
+    _side,
+    _tie,
+    canonical_class_key,
+    walk_triangles,
+    word_of,
+)
 from tautpath.tighten import _as_sleeve_path, funnel_shortest
 
 
@@ -191,3 +207,119 @@ def brute_len_value(pts, k: int, grid_pts=None):
             if val > best:
                 best = val
     return best
+
+
+def _scan_stub_tri(tri, m: Pt, cands=None):
+    """Triangle among `cands` (default all) whose open region holds
+    m + delta.  A stub on a boundary edge whose shift leaves the domain
+    takes that edge's only triangle; None when m is outside."""
+    verts, tris = tri.verts, tri.tris
+    cands = range(len(tris)) if cands is None else cands
+    for ti in cands:
+        i, j, k = tris[ti]
+        a, b, c = verts[i], verts[j], verts[k]
+        if _side(a, b, m) > 0 and _side(b, c, m) > 0 and _side(c, a, m) > 0:
+            return ti
+    for ti in cands:
+        i, j, k = tris[ti]
+        for u, v in ((i, j), (j, k), (k, i)):
+            if (min(u, v), max(u, v)) in tri.boundary_edges and on_segment(m, verts[u], verts[v]):
+                return ti
+    return None
+
+
+def _scan_start_tri(tri, path: PathPoly, records):
+    """Triangle the path starts in: the one holding its stub (the path
+    before the first crossing).  A constant path at a vertex takes the
+    smallest member of the vertex's fan."""
+    pts = path.vertices
+    if path.is_constant():
+        if tri.vertex_at(pts[0]) is not None:
+            return tri.tri_containing(pts[0])[0]
+        stub = pts[0]
+    elif records and records[0].edge_index == 0:
+        stub = lerp(pts[0], pts[1], records[0].t / 2)
+    else:
+        stub = lerp(pts[0], pts[1], rat(1) / 2)
+    start = _scan_stub_tri(tri, stub)
+    if start is None:
+        raise InvalidPath("path starts outside the triangulated domain")
+    return start
+
+
+def _scan_corner_letters(tri, vi: int, a: Pt, c: Pt, b: Pt, before, after):
+    """Fan walk of a path that arrives at corner c = verts[vi] from a,
+    with crossings `before` on that edge, and leaves towards b, with
+    crossings `after`.  Each end takes the fan triangle holding the point
+    halfway between c and the edge's nearest crossing or far end."""
+    chain, keys = _fan(tri, vi)
+    t_in = (before[-1].t + 1) / 2 if before else rat(1) / 2
+    t_out = after[0].t / 2 if after else rat(1) / 2
+    i = chain.index(_scan_stub_tri(tri, lerp(a, c, t_in), chain))
+    j = chain.index(_scan_stub_tri(tri, lerp(c, b, t_out), chain))
+    return _fan_walk_letters(tri, chain, keys, i, j)
+
+
+def scan_crossing_word(path: PathPoly, tri) -> CrossingWord:
+    """Crossing word of a path in the closed domain by exhaustive scans.
+    Every domain corner inside an edge is inserted as a vertex (the
+    strict form).  A strict edge crosses a diagonal when, with ties broken
+    by the shift delta, its ends lie on opposite sides of the diagonal and
+    the diagonal's ends on opposite sides of the edge; an edge skips the
+    diagonals at its ends' corners.  The path passes an inner vertex on a
+    corner inside the domain: it crosses the fan diagonals between the
+    triangles it arrives and leaves in, found from stub points halfway to
+    the nearest crossing, and recorded at the end (t = 1) of the arriving
+    edge."""
+    if not path.is_constant():
+        pts = path.vertices[:1]
+        for a, b in zip(path.vertices, path.vertices[1:]):
+            inner = [c for c in tri.domain.verts if c != a and c != b and on_segment(c, a, b)]
+            pts += sorted(inner, key=lambda c: seg_param(a, b, c)) + [b]
+        path = PathPoly(pts)
+    pts = path.vertices
+    corner = [tri.vertex_at(p) for p in pts]
+    keys = tri.interior_edges
+    epts = [tri.edge_pts(k) for k in keys]
+    per_edge = []
+    for i in range(len(pts) - 1):
+        a, b = pts[i], pts[i + 1]
+        ca, cb = corner[i], corner[i + 1]
+        lox, hix = min(a.fx, b.fx), max(a.fx, b.fx)
+        loy, hiy = min(a.fy, b.fy), max(a.fy, b.fy)
+        ab_tie = None
+        local = []
+        for eid, (u, v) in enumerate(epts):
+            # rounding to floats keeps order, so disjoint float boxes are disjoint
+            if max(u.fx, v.fx) < lox or hix < min(u.fx, v.fx) or max(u.fy, v.fy) < loy or hiy < min(u.fy, v.fy):
+                continue
+            sa = _side(u, v, a)
+            if sa == _side(u, v, b):
+                continue
+            if ab_tie is None:
+                ab_tie = -_tie(b - a)
+            if (orient(a, b, u) or ab_tie) == (orient(a, b, v) or ab_tie):
+                continue
+            if ca in keys[eid] or cb in keys[eid]:
+                continue
+            uv = v - u
+            t = cross(u - a, uv) / cross(b - a, uv)
+            local.append(Crossing(i, t, eid, sa))
+        local.sort(key=lambda c: c.t)
+        per_edge.append(local)
+    records = []
+    for i, local in enumerate(per_edge):
+        records.extend(local)
+        if i + 1 < len(per_edge) and corner[i + 1] is not None:
+            letters = _scan_corner_letters(tri, corner[i + 1], pts[i], pts[i + 1], pts[i + 2], local, per_edge[i + 1])
+            last = records[-1] if records else None
+            if letters and not local and last and last.edge_index == i - 1 and last.t == 1 and letters[0] == (last.eid, -last.sign):
+                # the edge runs along the diagonal it crosses at both ends:
+                # read it on the side it arrives from
+                records.pop()
+                letters = letters[1:]
+            records.extend(Crossing(i, rat(1), eid, sign) for eid, sign in letters)
+    start = _scan_start_tri(tri, path, records)
+    letters = [(c.eid, c.sign) for c in records]
+    end = walk_triangles(tri, start, letters)[-1] if letters else start
+    return CrossingWord(path, letters, start, end, records)

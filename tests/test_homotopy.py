@@ -280,3 +280,42 @@ def test_strict_form_validates_once(d1, monkeypatch):
     monkeypatch.setattr(homotopy, "validate_path", counting)
     strict_form(PathPoly(GOLDEN_OVER), d1)
     assert len(calls) == 1
+
+
+# --- the walk against the exhaustive scan ---
+
+
+def _walk_corpus(d):
+    """Every ordered pair of domain corners that is a path in the closed
+    domain, then 2-4-vertex walks of such steps between corners and
+    boundary-edge midpoints."""
+    import random
+
+    pts = d.verts + [Pt((a.x + b.x) / 2, (a.y + b.y) / 2) for _, r in d.rings() for a, b in zip(r, r[1:] + r[:1])]
+    steps = {i: [j for j in range(len(pts)) if j != i and validate_path(PathPoly([pts[i], pts[j]]), d).ok] for i in range(len(pts))}
+    paths = [PathPoly([pts[i], pts[j]]) for i in range(len(d.verts)) for j in steps[i] if j < len(d.verts)]
+    rng = random.Random(len(pts))
+    for _ in range(100):
+        walk = [rng.randrange(len(pts))]
+        for _ in range(rng.randint(1, 3)):
+            walk.append(rng.choice(steps[walk[-1]]))
+        paths.append(PathPoly([pts[i] for i in walk]))
+    return paths
+
+
+def test_walk_matches_the_scan(d1, d1_straight):
+    from oracles import scan_crossing_word
+    from test_tighten import COLLINEAR_RECTS, CORNER_START, SHARED_BRIDGE, SHARED_BRIDGE4
+
+    compared = 0
+    for d in (d1, d1_straight, CORNER_START, SHARED_BRIDGE, SHARED_BRIDGE4, COLLINEAR_RECTS):
+        tri = triangulate(d)
+        for p in _walk_corpus(d):
+            assert validate_path(p, d).ok, p.vertices
+            got, want = crossing_word(p, tri), scan_crossing_word(p, tri)
+            assert got.path == want.path, p.vertices
+            assert got.letters == want.letters, p.vertices
+            assert got.records == want.records, p.vertices
+            assert (got.start_tri, got.end_tri) == (want.start_tri, want.end_tri), p.vertices
+            compared += 1
+    assert compared > 1000, compared
