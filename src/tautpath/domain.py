@@ -335,15 +335,6 @@ class Triangulation:
     def edge_pts(self, key):
         return (self.verts[key[0]], self.verts[key[1]])
 
-    def tri_containing(self, p: Pt):
-        """Triangles whose closed region contains p."""
-        out = []
-        for ti in range(len(self.tris)):
-            a, b, c = self.tri_pts(ti)
-            if point_in_triangle(p, a, b, c, closed=True):
-                out.append(ti)
-        return out
-
 
 def _bridge_visible(d, seg_a, seg_b, ring_pts, pending_holes):
     """seg between a hole vertex and a merged-ring vertex: may only touch

@@ -213,8 +213,6 @@ def _fan_tri(tri: Triangulation, vi: int, chain, x: Pt):
     whose wedge holds x + delta, else the fan-end triangle along whose
     boundary edge the path runs."""
     verts, c = tri.verts, tri.verts[vi]
-    # a second, closed pass finds x along a boundary edge at c whose shift
-    # leaves the domain
     for closed in (False, True):
         for ti in chain:
             tpl = tri.tris[ti]
@@ -267,7 +265,6 @@ def crossing_word(path: PathPoly, tri: Triangulation) -> CrossingWord:
     cur, out, records = start, [pts[0]], []
     for n in range(len(pts) - 1):
         a, b = pts[n], pts[n + 1]
-        tie = -_tie(b - a)
         at = {}  # vertex -> orient(a, b, vertex)
         t0, first = 0, len(records)  # the strict edge from out[-1] starts at t0
         while True:
@@ -275,7 +272,7 @@ def crossing_word(path: PathPoly, tri: Triangulation) -> CrossingWord:
             ahead = [(seg_param(a, b, verts[w]), w) for w in tris[cur] if at[w] == 0]
             ahead = [tw for tw in ahead if t0 < tw[0] <= 1]
             if ahead:
-                # the nearest corner ahead ends a strict edge, whose
+                # the nearest corner ahead ends the strict edge, whose
                 # crossings were read as parameters up to b
                 tc, c = min(ahead)
                 if tc < 1:
@@ -288,16 +285,17 @@ def crossing_word(path: PathPoly, tri: Triangulation) -> CrossingWord:
                     break
                 t0, first = tc, len(records)
                 continue
-            # the shifted line leaves the triangle through the edge (u, v),
-            # in counterclockwise order, with u right and v left of it
+            # the exit is the side (u, v), counterclockwise, with u right and
+            # v left of a -> b; a vertex on that line is behind or past b
             i, j, k = tris[cur]
-            ex = [(u, v) for u, v in ((i, j), (j, k), (k, i)) if (at[u] or tie) < 0 < (at[v] or tie)]
+            ex = [(u, v) for u, v in ((i, j), (j, k), (k, i)) if at[u] < 0 < at[v]]
             key = tuple(sorted(ex[0])) if ex else None
             if key is None or key in tri.boundary_edges or _side(*tri.edge_pts(ex[0]), b) > 0:
                 out.append(b)
                 break
             u, v = tri.edge_pts(key)
-            t = cross(u - out[-1], v - u) / cross(b - out[-1], v - u)
+            uv = v - u
+            t = cross(u - out[-1], uv) / cross(b - out[-1], uv)
             records.append(Crossing(len(out) - 1, t, tri.edge_id[key], 1 if key == ex[0] else -1))
             owners = tri.edge_tris[key]
             cur = owners[0] if owners[1] == cur else owners[1]
@@ -406,7 +404,8 @@ def canonical_class_key(word: CrossingWord, tri: Triangulation, p: Pt, q: Pt):
 
 
 def word_of(path: PathPoly, tri: Triangulation) -> CrossingWord:
-    """Crossing word of a path, which must lie in the closed domain."""
+    """Crossing word of a path; raises InvalidPath when the path leaves
+    the closed domain."""
     rep = validate_path(path, tri.domain)
     if not rep.ok:
         raise InvalidPath("path: " + "; ".join(rep.violations))

@@ -74,8 +74,9 @@ def _clearance2(path: PathPoly, d: PolygonalDomain):
     of the exact one: rounding the points moves a distance by at most
     2*sqrt(2)uM, so its square by at most 16uM**2, and each of _fdist2's
     formulas (a sum of squares, or a squared cross product over |b - a|**2)
-    is off by at most 16u|p - a|**2 <= 128uM**2.  So with E = 256uM**2 the
-    exact minimum is among the candidates within 2E of the float minimum."""
+    is off by at most 16u|p - a|**2 <= 128uM**2.  So with E = 256uM**2
+    (plus an absolute term against underflow) the exact minimum is among
+    the candidates within 2E of the float minimum."""
     cands = []
     for i in range(len(path.vertices) - 1):
         a, b = path.vertices[i], path.vertices[i + 1]

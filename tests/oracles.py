@@ -24,7 +24,19 @@ import itertools
 import math
 
 from tautpath import PathPoly, triangulate, validate_path
-from tautpath.geom import Pt, cross, dist2, lerp, on_segment, orient, polyline_length, rat, seg_length, seg_param
+from tautpath.geom import (
+    Pt,
+    cross,
+    dist2,
+    lerp,
+    on_segment,
+    orient,
+    point_in_triangle,
+    polyline_length,
+    rat,
+    seg_length,
+    seg_param,
+)
 from tautpath.homotopy import (
     Crossing,
     CrossingWord,
@@ -209,6 +221,11 @@ def brute_len_value(pts, k: int, grid_pts=None):
     return best
 
 
+def tri_containing(tri, p: Pt):
+    """Triangles whose closed region contains p, by a scan of them all."""
+    return [ti for ti in range(len(tri.tris)) if point_in_triangle(p, *tri.tri_pts(ti), closed=True)]
+
+
 def _scan_stub_tri(tri, m: Pt, cands=None):
     """Triangle among `cands` (default all) whose open region holds
     m + delta.  A stub on a boundary edge whose shift leaves the domain
@@ -235,7 +252,7 @@ def _scan_start_tri(tri, path: PathPoly, records):
     pts = path.vertices
     if path.is_constant():
         if tri.vertex_at(pts[0]) is not None:
-            return tri.tri_containing(pts[0])[0]
+            return tri_containing(tri, pts[0])[0]
         stub = pts[0]
     elif records and records[0].edge_index == 0:
         stub = lerp(pts[0], pts[1], records[0].t / 2)

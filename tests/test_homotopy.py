@@ -1,10 +1,12 @@
 """Crossing words, class keys, sleeves, lifts, strict forms."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import tri_containing
 from tautpath.domain import triangulate
 from tautpath.geom import Pt, Segment, LineSpec, segments_intersect
 from tautpath.homotopy import (
@@ -95,8 +97,8 @@ def test_word_endpoints_locate_path(d1_tri, over_path):
     seq = walk_triangles(d1_tri, w.start_tri, w.letters)
     assert seq[-1] == w.end_tri
     # start triangle really contains the first vertex
-    assert w.start_tri in d1_tri.tri_containing(over_path.start)
-    assert w.end_tri in d1_tri.tri_containing(over_path.end)
+    assert w.start_tri in tri_containing(d1_tri, over_path.start)
+    assert w.end_tri in tri_containing(d1_tri, over_path.end)
 
 
 def test_reversed_path_inverts_word(d1_tri, over_path):
@@ -289,10 +291,11 @@ def _walk_corpus(d):
     """Every ordered pair of domain corners that is a path in the closed
     domain, then 2-4-vertex walks of such steps between corners and
     boundary-edge midpoints."""
-    import random
-
     pts = d.verts + [Pt((a.x + b.x) / 2, (a.y + b.y) / 2) for _, r in d.rings() for a, b in zip(r, r[1:] + r[:1])]
-    steps = {i: [j for j in range(len(pts)) if j != i and validate_path(PathPoly([pts[i], pts[j]]), d).ok] for i in range(len(pts))}
+    steps = {
+        i: [j for j in range(len(pts)) if j != i and validate_path(PathPoly([pts[i], pts[j]]), d).ok]
+        for i in range(len(pts))
+    }
     paths = [PathPoly([pts[i], pts[j]]) for i in range(len(d.verts)) for j in steps[i] if j < len(d.verts)]
     rng = random.Random(len(pts))
     for _ in range(100):
