@@ -216,7 +216,8 @@ def _fan_tri(tri: Triangulation, vi: int, chain, x: Pt):
     for closed in (False, True):
         for ti in chain:
             tpl = tri.tris[ti]
-            w1, w2 = verts[tpl[tpl.index(vi) - 2]], verts[tpl[tpl.index(vi) - 1]]
+            r = tpl.index(vi)
+            w1, w2 = verts[tpl[r - 2]], verts[tpl[r - 1]]
             if closed and orient(c, w1, x) >= 0 and orient(w2, c, x) >= 0:
                 return ti
             if not closed and _side(c, w1, x) > 0 and _side(w2, c, x) > 0:
