@@ -33,7 +33,6 @@ from .homotopy import (
     crossing_word,
     homotopic,
     reduce_word,
-    strict_form,
     validate_path,
     word_of,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "rat",
     "reduce_word",
     "signed_area2",
-    "strict_form",
     "tighten",
     "triangulate",
     "validate",

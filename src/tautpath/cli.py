@@ -320,9 +320,9 @@ def _cmd_validate(args) -> int:
     ok = rep.ok
     for v in rep.violations:
         print(f"domain: {v}")
-    if inst["path"] is not None:
+    if ok and inst["path"] is not None:
         path_rep = validate_path(inst["path"], inst["domain"])
-        ok = ok and path_rep.ok
+        ok = path_rep.ok
         for v in path_rep.violations:
             print(f"path: {v}")
         if path_rep.ok and path_rep.touches:

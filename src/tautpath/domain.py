@@ -119,7 +119,7 @@ class PolygonalDomain:
 class ValidationReport:
     ok: bool
     violations: list = field(default_factory=list)
-    touches: bool = False  # a path meets the boundary away from its ends
+    touches: bool = False  # a valid path meets the boundary away from its ends; read only when ok
 
 
 def _ring_simple(ring, label, out):

@@ -1,13 +1,15 @@
 """Homotopy bookkeeping over a fixed triangulation.
 
-A path is valid when it lies in the closed domain; validate_path checks
-that once, and says whether the path touches the boundary on the way.  A
-valid path is encoded by its crossing word: the ordered sequence of
-(interior edge, direction) transversal crossings, read in one walk along
-the path through the triangulation, with degenerate positions decided by
-an infinitesimal shift.  Where the path passes a domain corner it is read
-as passing just inside the domain, through the fan of triangles at that
-corner, and the corner becomes a vertex of the path's strict form.
+A path is valid when it lies in the closed domain.  A valid path is
+encoded by its crossing word: the ordered sequence of (interior edge,
+direction) transversal crossings, read in one walk along the path through
+the triangulation, with degenerate positions decided by an infinitesimal
+shift.  The walk is also the one check of validity: it stops where the
+path leaves the triangles.  Where the path passes a domain corner it is
+read as passing just inside the domain, through the fan of triangles at
+that corner, and the corner becomes a vertex of the path's strict form.
+validate_path reports the walk's verdict, and scans the rings only to
+word a rejection.
 Reduced words classify homotopy classes rel endpoints (after a
 normalization at endpoints that sit on triangulation vertices), the
 sleeve of a reduced word is the chain of triangle copies the class runs
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .domain import InvalidPath, PolygonalDomain, Triangulation, ValidationReport, locate, triangulate
+from .domain import InvalidPath, PolygonalDomain, Triangulation, ValidationReport, _on_ring, locate, triangulate
 from .geom import (
     LineSpec,
     Pt,
@@ -46,7 +48,7 @@ class WordError(Exception):
 
 class PathPoly:
     """Polyline path, valid when it lies in the closed domain (see
-    validate_path)."""
+    word_of)."""
 
     __slots__ = ("vertices",)
 
@@ -69,73 +71,6 @@ class PathPoly:
 
     def __repr__(self):
         return f"PathPoly({len(self.vertices)} verts)"
-
-
-def validate_path(path: PathPoly, d: PolygonalDomain) -> ValidationReport:
-    """Checks that the path lies in the closed domain.  The report's
-    `touches` says whether it meets the boundary anywhere but at its two
-    ends: at an inner vertex, where an edge touches it, or along it."""
-    v = []
-    pts = path.vertices
-    if len(pts) < 2:
-        return ValidationReport(False, ["path needs at least 2 vertices"])
-    if path.is_constant():
-        if len(pts) != 2:
-            v.append("constant path must have exactly 2 vertices")
-        if locate(d, pts[0]).kind == "exterior":
-            v.append("endpoint outside the closed domain")
-        return ValidationReport(not v, v)
-    for i in range(len(pts) - 1):
-        if pts[i] == pts[i + 1]:
-            v.append(f"repeated consecutive vertex at index {i}")
-            return ValidationReport(False, v)
-    touches = False
-    for i, p in enumerate(pts):
-        kind = locate(d, p).kind
-        end = i == 0 or i == len(pts) - 1
-        if kind == "exterior":
-            v.append("endpoint outside the closed domain" if end else f"vertex {i} outside the closed domain")
-        elif kind == "boundary" and not end:
-            touches = True
-    if v:
-        return ValidationReport(False, v)
-    last = len(pts) - 2
-    for i in range(len(pts) - 1):
-        a, b = pts[i], pts[i + 1]
-        events = []
-        bad = None
-        for rid, ring in d.rings():
-            n = len(ring)
-            for j in range(n):
-                c, e = ring[j], ring[(j + 1) % n]
-                kind, data = segments_intersect(Segment(a, b), Segment(c, e))
-                if kind == "disjoint":
-                    continue
-                if kind == "proper":
-                    bad = f"edge {i} crosses the boundary"
-                    break
-                if kind == "touch":
-                    if not ((i == 0 and data == a) or (i == last and data == b)):
-                        touches = True
-                    events.append(seg_param(a, b, data))
-                elif kind == "overlap":
-                    touches = True
-                    events.append(seg_param(a, b, data.a))
-                    events.append(seg_param(a, b, data.b))
-            if bad:
-                break
-        if bad:
-            v.append(bad)
-            continue
-        cuts = sorted(set([rat(0), rat(1)] + events))
-        for k in range(len(cuts) - 1):
-            if cuts[k] == cuts[k + 1]:
-                continue
-            mid = lerp(a, b, (cuts[k] + cuts[k + 1]) / 2)
-            if locate(d, mid).kind == "exterior":
-                v.append(f"edge {i} leaves the closed domain")
-                break
-    return ValidationReport(not v, v, touches)
 
 
 @dataclass(frozen=True)
@@ -229,6 +164,8 @@ def _pass_corner(tri: Triangulation, vi: int, arrive: int, x: Pt, records, i: in
     the one the path leaves in towards x; returns that triangle."""
     chain, keys = _fan(tri, vi)
     leave = _fan_tri(tri, vi, chain, x)
+    if leave is None:
+        raise InvalidPath(f"path leaves the domain at the corner {tri.verts[vi]}")
     letters = _fan_walk_letters(tri, chain, keys, chain.index(arrive), chain.index(leave))
     last = records[-1] if records else None
     if letters and last and last.edge_index == i - 1 and last.t == 1 and letters[0] == (last.eid, -last.sign):
@@ -241,8 +178,8 @@ def _pass_corner(tri: Triangulation, vi: int, arrive: int, x: Pt, records, i: in
 
 
 def crossing_word(path: PathPoly, tri: Triangulation) -> CrossingWord:
-    """Crossing word of a path in the closed domain, read in one straight
-    walk through the triangulation (Devillers, Pion & Teillaud 2002).
+    """Crossing word of a path, read in one straight walk through the
+    triangulation (Devillers, Pion & Teillaud 2002).
 
     Each edge, shifted by delta, goes from triangle to triangle, and every
     diagonal it leaves a triangle through is one letter; an edge that ends
@@ -250,7 +187,13 @@ def crossing_word(path: PathPoly, tri: Triangulation) -> CrossingWord:
     an edge becomes a vertex of the word's strict form `path`, whose edges
     the records index.  The path passes a corner inside the domain: it
     crosses the fan diagonals between the triangles it arrives and leaves
-    in, recorded at the end (t = 1) of the arriving edge."""
+    in, recorded at the end (t = 1) of the arriving edge.
+
+    Raises InvalidPath where the path leaves the closed domain: its start
+    lies in no triangle, no fan triangle at a corner holds its next
+    direction, or an edge ends strictly beyond the boundary edge it leaves
+    a triangle through.  The path's vertices must be at least 2, with no
+    two consecutive ones equal unless all are (see word_of)."""
     pts = path.vertices
     vi = tri.vertex_at(pts[0])
     if vi is None:
@@ -259,7 +202,7 @@ def crossing_word(path: PathPoly, tri: Triangulation) -> CrossingWord:
         chain = _fan(tri, vi)[0]
         start = min(chain) if path.is_constant() else _fan_tri(tri, vi, chain, pts[1])
     if start is None:
-        raise InvalidPath("path starts outside the triangulated domain")
+        raise InvalidPath("path leaves the domain at its start")
     if path.is_constant():
         return CrossingWord(path, [], start, start, [])
     verts, tris = tri.verts, tri.tris
@@ -291,6 +234,8 @@ def crossing_word(path: PathPoly, tri: Triangulation) -> CrossingWord:
             i, j, k = tris[cur]
             ex = [(u, v) for u, v in ((i, j), (j, k), (k, i)) if at[u] < 0 < at[v]]
             key = tuple(sorted(ex[0])) if ex else None
+            if key in tri.boundary_edges and orient(*tri.edge_pts(ex[0]), b) < 0:
+                raise InvalidPath(f"path edge {n} leaves the domain through a boundary edge")
             if key is None or key in tri.boundary_edges or _side(*tri.edge_pts(ex[0]), b) > 0:
                 out.append(b)
                 break
@@ -404,20 +349,65 @@ def canonical_class_key(word: CrossingWord, tri: Triangulation, p: Pt, q: Pt):
     return (start, reduce_word(letters))
 
 
+def _read(path: PathPoly, tri: Triangulation):
+    """(crossing word, []) for a valid path, else (None, violations).  The
+    shape checks and the walk decide; the vertex and ring scans only name
+    what a rejected path does wrong."""
+    pts = path.vertices
+    if len(pts) < 2:
+        return None, ["path needs at least 2 vertices"]
+    const = path.is_constant()
+    v = ["constant path must have exactly 2 vertices"] if const and len(pts) != 2 else []
+    for i in range(0 if const else len(pts) - 1):
+        if pts[i] == pts[i + 1]:
+            return None, [f"repeated consecutive vertex at index {i}"]
+    if not v:
+        try:
+            return crossing_word(path, tri), []
+        except InvalidPath:
+            pass
+    d, last = tri.domain, len(pts) - 1
+    for i, p in enumerate(pts[:1] if const else pts):
+        if locate(d, p).kind == "exterior":
+            where = "endpoint" if i in (0, last) else f"vertex {i}"
+            v.append(where + " outside the closed domain")
+    if v:
+        return None, v
+    for i in range(last):
+        try:
+            crossing_word(PathPoly(pts[i : i + 2]), tri)
+        except InvalidPath:
+            seg = Segment(pts[i], pts[i + 1])
+            rings = (Segment(a, b) for _, r in d.rings() for a, b in zip(r, r[1:] + r[:1]))
+            crosses = any(segments_intersect(seg, e)[0] == "proper" for e in rings)
+            v.append(f"edge {i} " + ("crosses the boundary" if crosses else "leaves the closed domain"))
+    return None, v
+
+
 def word_of(path: PathPoly, tri: Triangulation) -> CrossingWord:
-    """Crossing word of a path; raises InvalidPath when the path leaves
-    the closed domain."""
-    rep = validate_path(path, tri.domain)
-    if not rep.ok:
-        raise InvalidPath("path: " + "; ".join(rep.violations))
-    return crossing_word(path, tri)
+    """Crossing word of a path, after the shape checks (at least 2
+    vertices, none repeated in a row unless the path is constant).  Raises
+    InvalidPath, with validate_path's violations, when the path leaves the
+    closed domain."""
+    word, v = _read(path, tri)
+    if v:
+        raise InvalidPath("path: " + "; ".join(v))
+    return word
 
 
-def strict_form(path: PathPoly, d: PolygonalDomain) -> PathPoly:
-    """The path with every domain corner inside one of its edges inserted
-    as a vertex: the form whose edges crossing records index.  Raises
-    InvalidPath when the path leaves the closed domain."""
-    return word_of(path, triangulate(d)).path
+def validate_path(path: PathPoly, d: PolygonalDomain) -> ValidationReport:
+    """word_of's verdict on the path in the (valid) domain d, as a report.
+    A valid path `touches` the boundary when its strict form has an inner
+    vertex on the boundary or an edge that runs along it."""
+    word, v = _read(path, triangulate(d))
+    if v:
+        return ValidationReport(False, v)
+    if path.is_constant():
+        return ValidationReport(True)
+    pts = word.path.vertices
+    mids = [lerp(a, b, rat(1) / 2) for a, b in zip(pts, pts[1:])]
+    touches = any(_on_ring(p, ring) for p in pts[1:-1] + mids for _, ring in d.rings())
+    return ValidationReport(True, [], touches)
 
 
 def homotopic(p1: PathPoly, p2: PathPoly, tri: Triangulation) -> bool:

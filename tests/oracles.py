@@ -13,6 +13,12 @@ edges.
 `locally_shortest_check` compares every subpath between grid points with
 the funnel optimum between its ends, an O(grid^2) probe of shortness.
 
+`scan_validate_path` decides whether a path lies in the closed domain by
+testing every path edge against every ring edge and locating the pieces
+between the contacts, the verdict the library's walk must reproduce.  The
+other oracles call it, not the walk, to stay independent of the code they
+check.
+
 `scan_crossing_word` reads a path's crossing word by testing every
 domain corner and every diagonal against every path edge, the reading
 the library's triangulation walk must reproduce.
@@ -23,9 +29,11 @@ from __future__ import annotations
 import itertools
 import math
 
-from tautpath import PathPoly, triangulate, validate_path
+from tautpath import PathPoly, triangulate
+from tautpath.domain import ValidationReport, locate
 from tautpath.geom import (
     Pt,
+    Segment,
     cross,
     dist2,
     lerp,
@@ -36,6 +44,7 @@ from tautpath.geom import (
     rat,
     seg_length,
     seg_param,
+    segments_intersect,
 )
 from tautpath.homotopy import (
     Crossing,
@@ -51,6 +60,76 @@ from tautpath.homotopy import (
     word_of,
 )
 from tautpath.tighten import _as_sleeve_path, funnel_shortest
+
+
+def scan_validate_path(path: PathPoly, d) -> ValidationReport:
+    """Reference for validate_path that does not use the triangulation: it
+    tests every path edge against every ring edge and locates every vertex
+    and every piece between boundary contacts.  Checks that the path lies
+    in the closed domain.  The report's
+    `touches` says whether it meets the boundary anywhere but at its two
+    ends: at an inner vertex, where an edge touches it, or along it."""
+    v = []
+    pts = path.vertices
+    if len(pts) < 2:
+        return ValidationReport(False, ["path needs at least 2 vertices"])
+    if path.is_constant():
+        if len(pts) != 2:
+            v.append("constant path must have exactly 2 vertices")
+        if locate(d, pts[0]).kind == "exterior":
+            v.append("endpoint outside the closed domain")
+        return ValidationReport(not v, v)
+    for i in range(len(pts) - 1):
+        if pts[i] == pts[i + 1]:
+            v.append(f"repeated consecutive vertex at index {i}")
+            return ValidationReport(False, v)
+    touches = False
+    for i, p in enumerate(pts):
+        kind = locate(d, p).kind
+        end = i == 0 or i == len(pts) - 1
+        if kind == "exterior":
+            v.append("endpoint outside the closed domain" if end else f"vertex {i} outside the closed domain")
+        elif kind == "boundary" and not end:
+            touches = True
+    if v:
+        return ValidationReport(False, v)
+    last = len(pts) - 2
+    for i in range(len(pts) - 1):
+        a, b = pts[i], pts[i + 1]
+        events = []
+        bad = None
+        for rid, ring in d.rings():
+            n = len(ring)
+            for j in range(n):
+                c, e = ring[j], ring[(j + 1) % n]
+                kind, data = segments_intersect(Segment(a, b), Segment(c, e))
+                if kind == "disjoint":
+                    continue
+                if kind == "proper":
+                    bad = f"edge {i} crosses the boundary"
+                    break
+                if kind == "touch":
+                    if not ((i == 0 and data == a) or (i == last and data == b)):
+                        touches = True
+                    events.append(seg_param(a, b, data))
+                elif kind == "overlap":
+                    touches = True
+                    events.append(seg_param(a, b, data.a))
+                    events.append(seg_param(a, b, data.b))
+            if bad:
+                break
+        if bad:
+            v.append(bad)
+            continue
+        cuts = sorted(set([rat(0), rat(1)] + events))
+        for k in range(len(cuts) - 1):
+            if cuts[k] == cuts[k + 1]:
+                continue
+            mid = lerp(a, b, (cuts[k] + cuts[k + 1]) / 2)
+            if locate(d, mid).kind == "exterior":
+                v.append(f"edge {i} leaves the closed domain")
+                break
+    return ValidationReport(not v, v, touches)
 
 
 def _class_key(path: PathPoly, tri):
@@ -81,7 +160,7 @@ def vg_shortest_in_class(d, path: PathPoly, tri=None):
             if nodes[i] == nodes[j]:
                 continue
             seg = PathPoly([nodes[i], nodes[j]])
-            ok = validate_path(seg, d).ok
+            ok = scan_validate_path(seg, d).ok
             vis[i][j] = vis[j][i] = ok
 
     fdist = [[math.sqrt(float(dist2(a, b))) for b in nodes] for a in nodes]
@@ -143,7 +222,7 @@ def probe_taut_vertex_violations(pts, d):
             while float(dist2(lerp(v, x, t), v)) > fs / 64:
                 t /= 2
             ends.append(lerp(v, x, t))
-        if validate_path(PathPoly(ends), d).ok:
+        if scan_validate_path(PathPoly(ends), d).ok:
             out.append(f"vertex {k} admits a local shortcut")
     return out
 

@@ -1,5 +1,6 @@
 """Instance files, generator determinism, command exit codes, SVG."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -92,6 +93,44 @@ def test_gen_simply_connected(tmp_path):
     assert rep.ok and not rep.touches
 
 
+# sha256 of `tautpath gen --seed s` for s = 0..9, with the default options
+# and with --holes 3 --vertices 12: the generator's output must not change
+# when the code it calls does
+GEN_SHA256 = {
+    (): [
+        "3202c8f1a42ff5c129f28216c02c7426220b3fb961e94665c6287d4a54ffcc4c",
+        "136e9baae367bfb987570d3634a2b13653fbf104a910881cd211e587da7c5962",
+        "9f4cb16b7d18ac1c80637f547923e17bb3f0a7071b104cc2cb1ac79090872fbe",
+        "bc25fdccd3cf018b1c9b0849f01d96acedf6a434ce47150fffd73efb47b2290e",
+        "ce8d72bb67ed4f4e1e4cc162a489c21d71a5ee90efb436cad66670e9a495b1da",
+        "46766654b3ba20be894b958747b82e303da33b91da4bb2d7a984bed30abb0898",
+        "27611419216e747550cf64129ee65405ff5e5b6d43ac310f30e4254fe7b09a0a",
+        "c7c64f2dfd58dde3498b64ec17c4a365d5f5488d570b8fd59061ac98bee4b45d",
+        "6ed66f0f619b773694f351511b47758685328203fc24552a3762620485a9a2c7",
+        "e64e6c98125a600bc8e633f34041ca84da2582bcd97f7643b7d4d59e53c39ba6",
+    ],
+    ("--holes", "3", "--vertices", "12"): [
+        "ea1e180b5d7424598a8575976ea8044beb04df2a139eb74124540e644411ceeb",
+        "d3de20cc4d3781acccc93f5ac5cb69d7f6b2f452927eda3a2f90582e7ece74b2",
+        "231bba25d66d365c65e3b0778681ef7b054203a618bad06ed11d41e3edd8af57",
+        "782c80aaf8d08e6eae8a61feca3377be57fcd7c3d387d7bd3e8558d20db39dd3",
+        "bd111f02d8ff296f1c9f7b6f611d27315b4b80881cddca9a75c157bc9ebfe852",
+        "3004dce8a8d63ae3d1b582925d98e94661c9185834756ba97b9ec11bbb951d23",
+        "a3b6b2471fa49f5083dabac75108bcbc5d575c15c14b7f71cc8ab021d20fb2fc",
+        "8cefa30015c9490f02d22624664252effa577c61d6fd9f1b4c65ae5a792cdc80",
+        "3b2e1d6c76f715e70f7ad99d580a787fa364e513f6284fdcf7c562e0d22177aa",
+        "4773f57f8263d383f6ffac719a46a077fb2c7c67b73a55b2f35df627593cac33",
+    ],
+}
+
+
+@pytest.mark.parametrize("opts", sorted(GEN_SHA256))
+def test_gen_output_pinned(opts, capsys):
+    for seed, want in enumerate(GEN_SHA256[opts]):
+        assert main(["gen", "--seed", str(seed), *opts]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == want, seed
+
+
 def test_instance_roundtrip_bytes(tmp_path):
     f = str(tmp_path / "inst.json")
     main(["gen", "--seed", "11", "--holes", "2", "--vertices", "12", "--out", f])
@@ -142,6 +181,18 @@ def test_validate_accepts_boundary_contact(tmp_path, capsys):
     fp = write_d1(tmp_path, path=[["-3", "1"], ["-1", "1"], ["1", "1"], ["3", "0"]])
     assert main(["validate", fp]) == 0
     assert capsys.readouterr().out.splitlines() == ["path: valid only up to boundary contact", "valid"]
+
+
+def test_validate_invalid_domain_skips_the_path(tmp_path, capsys):
+    # the hole [4, 6]^2 crosses the outer ring, so the path is not checked
+    hole = [["4", "4"], ["4", "6"], ["6", "6"], ["6", "4"]]
+    obj = dict(D1_INSTANCE, domain=dict(D1_INSTANCE["domain"], holes=[hole]))
+    fp = tmp_path / "bad-domain.json"
+    fp.write_text(json.dumps(obj) + "\n")
+    assert main(["validate", str(fp)]) == 1
+    out = capsys.readouterr()
+    assert out.out.splitlines() == ["domain: hole 0 not strictly interior", "invalid"]
+    assert out.err == ""
 
 
 def test_validate_parse_error(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Crossing words, class keys, sleeves, lifts, strict forms."""
+"""Validity, crossing words, class keys, sleeves, lifts, strict forms."""
 
 import random
 from fractions import Fraction
@@ -20,7 +20,6 @@ from tautpath.homotopy import (
     homotopic,
     build_sleeve,
     line_lifts,
-    strict_form,
     EndpointMismatch,
     InvalidPath,
 )
@@ -223,11 +222,15 @@ def test_closure_path_passes_corners_inside(d1_tri, over_path, under_path):
     assert _key(touch, d1_tri) == _key(over_path, d1_tri)
 
 
+def _form(path, d):
+    return word_of(path, triangulate(d)).path
+
+
 def test_strict_form_inserts_corners_inside_edges(d1, d1_tri):
     from tautpath.tighten import tighten
 
     along = PathPoly([(-3, 1), (3, 1)])
-    form = strict_form(along, d1)
+    form = _form(along, d1)
     assert form == PathPoly([(-3, 1), (-1, 1), (1, 1), (3, 1)])
     assert homotopic(form, PathPoly([(-3, 1), (0, 3), (3, 1)]), d1_tri)
     assert not homotopic(form, PathPoly([(-3, 1), (0, -3), (3, 1)]), d1_tri)
@@ -237,7 +240,7 @@ def test_strict_form_inserts_corners_inside_edges(d1, d1_tri):
 def test_word_of_handles_closure_members(d1_tri, over_path):
     touch = PathPoly(GOLDEN_OVER)
     w = word_of(touch, d1_tri)
-    assert w.letters == crossing_word(strict_form(touch, d1_tri.domain), d1_tri).letters
+    assert w.letters == crossing_word(_form(touch, d1_tri.domain), d1_tri).letters
     assert canonical_class_key(w, d1_tri, touch.start, touch.end) == _key(over_path, d1_tri)
 
 
@@ -245,7 +248,7 @@ def test_general_position_triangulation_usable(d1, over_path, under_path):
     # one memoized triangulation serves the strict forms of several paths
     tri = triangulate(d1)
     assert triangulate(d1) is tri
-    forms = [strict_form(p, d1) for p in (over_path, under_path)]
+    forms = [_form(p, d1) for p in (over_path, under_path)]
     assert forms == [over_path, under_path]
     for p, form in zip((over_path, under_path), forms):
         assert word_of(p, tri).letters == crossing_word(form, tri).letters
@@ -255,33 +258,51 @@ def test_general_position_triangulation_pushes_off_closure_paths(d1):
     # a closure path is read as it is, with no point moved off the boundary
     touch = PathPoly([(-3, 1), (1, 1), (3, 0)])
     tri = triangulate(d1)
-    form = strict_form(touch, d1)
+    form = _form(touch, d1)
     assert form == PathPoly([(-3, 1), (-1, 1), (1, 1), (3, 0)])
     assert word_of(touch, tri).letters == crossing_word(form, tri).letters
 
 
 def test_strict_form(d1, over_path):
     # a path in the open domain is its own strict form
-    assert strict_form(over_path, d1) == over_path
+    assert _form(over_path, d1) == over_path
     # one that touches the boundary only at its vertices has no corner to insert
     touch = PathPoly(GOLDEN_OVER)
-    assert strict_form(touch, d1) == PathPoly(GOLDEN_OVER)
+    assert _form(touch, d1) == PathPoly(GOLDEN_OVER)
     with pytest.raises(InvalidPath, match="^path: "):
-        strict_form(PathPoly([(-3, 0), (3, 0)]), d1)
+        _form(PathPoly([(-3, 0), (3, 0)]), d1)
 
 
 def test_strict_form_validates_once(d1, monkeypatch):
+    # word_of reads a valid path in one walk: no vertex location and no
+    # test against the ring edges
     import tautpath.homotopy as homotopy
 
+    tri = triangulate(d1)
     calls = []
 
-    def counting(path, d):
+    def counting(path, t):
         calls.append(path)
-        return validate_path(path, d)
+        return crossing_word(path, t)
 
-    monkeypatch.setattr(homotopy, "validate_path", counting)
-    strict_form(PathPoly(GOLDEN_OVER), d1)
+    def forbidden(*args):
+        raise AssertionError("scan on a valid path")
+
+    monkeypatch.setattr(homotopy, "crossing_word", counting)
+    monkeypatch.setattr(homotopy, "locate", forbidden)
+    monkeypatch.setattr(homotopy, "segments_intersect", forbidden)
+    assert word_of(PathPoly(GOLDEN_OVER), tri).path == PathPoly(GOLDEN_OVER)
     assert len(calls) == 1
+
+
+def test_walk_rejects_paths_that_leave(d1_tri):
+    # through the hole; ending outside the domain; through two hole corners
+    for pts in ([(-3, 0), (3, 0)], [(-3, 0), (7, 0)], [(-3, -3), (3, 3)]):
+        with pytest.raises(InvalidPath):
+            crossing_word(PathPoly(pts), d1_tri)
+    # ending on the hole's side, or on a corner, stays in the closed domain
+    assert crossing_word(PathPoly([(-3, 0), (-1, 0)]), d1_tri).path == PathPoly([(-3, 0), (-1, 0)])
+    assert crossing_word(PathPoly([(-3, -3), (-1, -1)]), d1_tri).path == PathPoly([(-3, -3), (-1, -1)])
 
 
 # --- the walk against the exhaustive scan ---
@@ -322,3 +343,49 @@ def test_walk_matches_the_scan(d1, d1_straight):
             assert (got.start_tri, got.end_tri) == (want.start_tri, want.end_tri), p.vertices
             compared += 1
     assert compared > 1000, compared
+
+
+def _mixed_corpus(d, rng):
+    """Every ordered pair of corners, 250 random 2-5-vertex paths through
+    corners, boundary-edge midpoints, integer points and quarter-grid
+    points of the bounding box grown by 1, and constant paths."""
+    cs = d.verts
+    mids = [Pt((a.x + b.x) / 2, (a.y + b.y) / 2) for _, r in d.rings() for a, b in zip(r, r[1:] + r[:1])]
+    x0, y0, x1, y1 = (int(c) for c in d.bbox())
+
+    def pick():
+        k = rng.randrange(4)
+        if k == 0:
+            return rng.choice(cs)
+        if k == 1:
+            return rng.choice(mids)
+        if k == 2:
+            return Pt(rng.randint(x0 - 1, x1 + 1), rng.randint(y0 - 1, y1 + 1))
+        return Pt(Fraction(rng.randint(4 * x0 - 4, 4 * x1 + 4), 4), Fraction(rng.randint(4 * y0 - 4, 4 * y1 + 4), 4))
+
+    paths = [PathPoly([a, b]) for a in cs for b in cs if a != b]
+    paths += [PathPoly([pick() for _ in range(rng.randint(2, 5))]) for _ in range(250)]
+    paths += [PathPoly([p, p]) for p in cs[:3] + mids[:3] + [Pt(x0 - 1, y0)]]
+    return paths + [PathPoly([cs[0]] * 3), PathPoly([cs[0]])]
+
+
+def test_validate_path_matches_the_scan(d1, d1_straight):
+    from conftest import instance_batch
+    from oracles import scan_validate_path
+    from test_tighten import COLLINEAR_RECTS, CORNER_START, SHARED_BRIDGE, SHARED_BRIDGE4
+
+    domains = [d1, d1_straight, CORNER_START, SHARED_BRIDGE, SHARED_BRIDGE4, COLLINEAR_RECTS]
+    domains += [inst["domain"] for inst in instance_batch(10, seed0=300)]
+    rng = random.Random(11)
+    seen = {"ok": 0, "crosses the boundary": 0, "leaves the closed domain": 0}
+    for d in domains:
+        for p in _mixed_corpus(d, rng):
+            got, want = validate_path(p, d), scan_validate_path(p, d)
+            assert (got.ok, got.violations) == (want.ok, want.violations), p.vertices
+            if want.ok:
+                assert got.touches == want.touches, p.vertices
+            seen["ok"] += want.ok
+            for v in want.violations:
+                for kind in seen:
+                    seen[kind] += v.endswith(kind)
+    assert min(seen.values()) > 100, seen

@@ -322,13 +322,13 @@ def test_path_along_a_boundary_edge_is_pushed_off(d1):
 
 
 def test_path_through_a_straight_corner(d1_straight):
-    from tautpath.homotopy import _fan, crossing_word, strict_form
+    from tautpath.homotopy import _fan, crossing_word
 
     p = PathPoly([(-3, -2), (0, -5), (3, -2)])
     # the path passes the corner through its whole fan, recorded at the corner
     tri = triangulate(d1_straight)
     _, keys = _fan(tri, tri.vertex_at(Pt(0, -5)))
-    recs = crossing_word(strict_form(p, d1_straight), tri).records
+    recs = crossing_word(word_of(p, tri).path, tri).records
     assert len(keys) == 3
     assert [(r.edge_index, r.t, r.eid) for r in recs if r.t == 1] == [(0, 1, tri.edge_id[k]) for k in keys]
     rep = tighten(p, d1_straight)
