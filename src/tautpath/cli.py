@@ -70,7 +70,7 @@ def coord_str(q) -> str:
 
 def parse_coord(v):
     try:
-        if isinstance(v, (int, float)):
+        if isinstance(v, (int, float)) and not isinstance(v, bool):
             return rat(v)
         if isinstance(v, str):
             return rat(v.strip())

@@ -61,10 +61,6 @@ class PolygonalDomain:
         self._report = None
         self._tri = None
 
-    @classmethod
-    def from_coords(cls, outer, holes=()):
-        return cls([Pt(x, y) for x, y in outer], [[Pt(x, y) for x, y in h] for h in holes])
-
     def rings(self):
         yield 0, self.outer
         for k, h in enumerate(self.holes):
@@ -253,8 +249,12 @@ class Triangulation:
     """Triangle mesh over the closure of the domain.
 
     vertices are exactly the domain vertices (outer ring first, then the
-    holes in order); triangles are CCW index triples.  Construction checks
-    the structural invariants and raises TriangulationError on any breach.
+    holes in order); triangles are CCW index triples.  `fans[v]` is vertex
+    v's star as a chain of triangles, from the end triangle with the smaller
+    index, and the letters (edge id, side) of the steps along it: step m
+    crosses from chain[m] to chain[m + 1].  Construction checks the
+    structural invariants, every star a single chain among them, and raises
+    TriangulationError on any breach.
     """
 
     def __init__(self, d: PolygonalDomain, tris):
@@ -267,23 +267,26 @@ class Triangulation:
 
     def _check_and_index(self):
         d = self.domain
-        boundary = set()
+        boundary, after = set(), {}  # ring edges; each vertex's successor on its ring
         offset = 0
         for _, ring in d.rings():
             n = len(ring)
             for i in range(n):
                 a, b = offset + i, offset + (i + 1) % n
                 boundary.add((min(a, b), max(a, b)))
+                after[a] = b
             offset += n
         edge_tris = {}
+        turn = {}  # (vertex, neighbour) -> (triangle, next neighbour counterclockwise)
         area2 = rat(0)
         for ti, (i, j, k) in enumerate(self.tris):
             a, b, c = self.verts[i], self.verts[j], self.verts[k]
             if orient(a, b, c) <= 0:
                 raise TriangulationError("triangle not strictly counterclockwise")
             area2 += (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
-            for u, v in ((i, j), (j, k), (k, i)):
+            for u, v, w in ((i, j, k), (j, k, i), (k, i, j)):
                 edge_tris.setdefault((min(u, v), max(u, v)), []).append(ti)
+                turn[u, v] = (ti, w)
         expect2 = signed_area2(d.outer) + sum(signed_area2(h) for h in d.holes)
         if area2 != expect2:
             raise TriangulationError("triangle areas do not sum to the domain area")
@@ -291,24 +294,36 @@ class Triangulation:
         h = len(d.holes)
         if len(self.tris) != n + 2 * h - 2:
             raise TriangulationError("unexpected triangle count")
-        interior = []
-        for key, owners in edge_tris.items():
-            if key in boundary:
-                if len(owners) != 1:
-                    raise TriangulationError("boundary edge shared by several triangles")
-            elif len(owners) != 2:
-                raise TriangulationError("interior edge not shared by exactly 2 triangles")
-            else:
-                interior.append(key)
-        interior.sort()
         self.edge_tris = edge_tris
         self.boundary_edges = boundary
-        self.interior_edges = interior
-        self.edge_id = {key: eid for eid, key in enumerate(interior)}
+        self.interior_edges = sorted(key for key in edge_tris if key not in boundary)
+        self.edge_id = {key: eid for eid, key in enumerate(self.interior_edges)}
+        # each star runs counterclockwise from the vertex's ring successor to
+        # its ring predecessor; together the stars hold every triangle three
+        # times, so every edge has the owners its kind asks for
+        before = {b: a for a, b in after.items()}
+        self.fans = []
+        for v in range(n):
+            chain, spokes, w = [], [], after[v]
+            while (v, w) in turn and len(chain) < len(self.tris):
+                ti, w = turn[v, w]
+                chain.append(ti)
+                key = (min(v, w), max(v, w))
+                if key in boundary:
+                    break
+                spokes.append(key)
+            if w != before[v]:
+                raise TriangulationError(f"the star of vertex {v} is not a single chain")
+            if chain[-1] < chain[0]:
+                chain.reverse()
+                spokes.reverse()
+            self.fans.append((chain, [(self.edge_id[k], self.side(k, t)) for k, t in zip(spokes, chain)]))
+        if sum(len(chain) for chain, _ in self.fans) != 3 * len(self.tris):
+            raise TriangulationError("the vertex stars do not hold every triangle")
         seen = {0}
         stack = [0]
         neighbors = {ti: [] for ti in range(len(self.tris))}
-        for key in interior:
+        for key in self.interior_edges:
             t1, t2 = edge_tris[key]
             neighbors[t1].append(t2)
             neighbors[t2].append(t1)
@@ -320,6 +335,12 @@ class Triangulation:
                     stack.append(other)
         if len(seen) != len(self.tris):
             raise TriangulationError("dual graph not connected")
+
+    def side(self, key, ti) -> int:
+        """Side of the edge key = (u, v) that its triangle ti lies on: +1
+        when u, v run counterclockwise in ti (orient(u, v, w) > 0), else -1."""
+        t = self.tris[ti]
+        return 1 if t[t.index(key[0]) - 2] == key[1] else -1
 
     def vertex_at(self, p: Pt):
         """Index of the vertex at p, or None.  Equal points have equal
@@ -448,6 +469,6 @@ def _is_ear(pos, nodes, ip, ic, inx) -> bool:
         q = pos[node]
         if q == a or q == b or q == c:
             continue
-        if point_in_triangle(q, a, b, c, closed=True):
+        if point_in_triangle(q, a, b, c):
             return False
     return True

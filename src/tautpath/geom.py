@@ -114,7 +114,11 @@ def dist2(a: Pt, b: Pt):
 
 
 def seg_length(a: Pt, b: Pt) -> float:
-    return math.sqrt(float(dist2(a, b)))
+    """Euclidean length, finite whenever the length fits a float."""
+    try:
+        return math.sqrt(float(dist2(a, b)))
+    except OverflowError:  # the squared length does not fit a float
+        return math.hypot(float(a.x - b.x), float(a.y - b.y))
 
 
 def lerp(a: Pt, b: Pt, t) -> Pt:
@@ -344,17 +348,14 @@ def clip_line_to_triangle(line: LineSpec, tri_pts):
     return (min(ts), max(ts))
 
 
-def point_in_triangle(p: Pt, a: Pt, b: Pt, c: Pt, closed: bool = True) -> bool:
-    """Triangle membership for either winding; `closed` includes the
-    boundary."""
+def point_in_triangle(p: Pt, a: Pt, b: Pt, c: Pt) -> bool:
+    """Membership in the closed triangle, for either winding."""
     o1 = orient(a, b, p)
     o2 = orient(b, c, p)
     o3 = orient(c, a, p)
     if orient(a, b, c) < 0:
         o1, o2, o3 = -o1, -o2, -o3
-    if closed:
-        return o1 >= 0 and o2 >= 0 and o3 >= 0
-    return o1 > 0 and o2 > 0 and o3 > 0
+    return o1 >= 0 and o2 >= 0 and o3 >= 0
 
 
 def point_seg_dist2(p: Pt, a: Pt, b: Pt):

@@ -102,12 +102,6 @@ class CrossingWord:
         return f"CrossingWord(start={self.start_tri}, letters={list(self.letters)})"
 
 
-def _tri_side(tri: Triangulation, key, ti) -> int:
-    u, v = tri.edge_pts(key)
-    w = next(x for x in tri.tris[ti] if x not in key)
-    return orient(u, v, tri.verts[w])
-
-
 # Ties are broken by simulation of simplicity (Edelsbrunner & Muecke
 # 1990): a path point that is not a triangulation vertex is read as if
 # shifted by the infinitesimal vector delta = (eps, eps**2).
@@ -142,14 +136,14 @@ def _stub_tri(tri: Triangulation, m: Pt):
     return None
 
 
-def _fan_tri(tri: Triangulation, vi: int, chain, x: Pt):
+def _fan_tri(tri: Triangulation, vi: int, x: Pt):
     """Fan triangle that a path arriving at or leaving the corner c =
     verts[vi] sits in next to c, given its neighbouring vertex x: the one
     whose wedge holds x + delta, else the fan-end triangle along whose
     boundary edge the path runs."""
     verts, c = tri.verts, tri.verts[vi]
     for closed in (False, True):
-        for ti in chain:
+        for ti in tri.fans[vi][0]:
             tpl = tri.tris[ti]
             r = tpl.index(vi)
             w1, w2 = verts[tpl[r - 2]], verts[tpl[r - 1]]
@@ -162,11 +156,10 @@ def _fan_tri(tri: Triangulation, vi: int, chain, x: Pt):
 def _pass_corner(tri: Triangulation, vi: int, arrive: int, x: Pt, records, i: int) -> int:
     """Records the fan walk at corner verts[vi] from triangle `arrive` to
     the one the path leaves in towards x; returns that triangle."""
-    chain, keys = _fan(tri, vi)
-    leave = _fan_tri(tri, vi, chain, x)
+    leave = _fan_tri(tri, vi, x)
     if leave is None:
         raise InvalidPath(f"path leaves the domain at the corner {tri.verts[vi]}")
-    letters = _fan_walk_letters(tri, chain, keys, chain.index(arrive), chain.index(leave))
+    letters = _fan_walk_letters(tri, vi, arrive, leave)
     last = records[-1] if records else None
     if letters and last and last.edge_index == i - 1 and last.t == 1 and letters[0] == (last.eid, -last.sign):
         # the edge runs along the diagonal it crosses at both ends: read it
@@ -199,8 +192,7 @@ def crossing_word(path: PathPoly, tri: Triangulation) -> CrossingWord:
     if vi is None:
         start = _stub_tri(tri, pts[0])
     else:
-        chain = _fan(tri, vi)[0]
-        start = min(chain) if path.is_constant() else _fan_tri(tri, vi, chain, pts[1])
+        start = min(tri.fans[vi][0]) if path.is_constant() else _fan_tri(tri, vi, pts[1])
     if start is None:
         raise InvalidPath("path leaves the domain at its start")
     if path.is_constant():
@@ -275,58 +267,19 @@ def walk_triangles(tri: Triangulation, start_tri: int, letters):
         owners = tri.edge_tris[key]
         if cur not in owners:
             raise WordError(f"crossing of edge {key} from a non-incident triangle")
-        if _tri_side(tri, key, cur) != sign:
+        if tri.side(key, cur) != sign:
             raise WordError(f"crossing of edge {key} from the wrong side")
         cur = owners[0] if owners[1] == cur else owners[1]
         seq.append(cur)
     return seq
 
 
-def _fan(tri: Triangulation, vi: int):
-    """Star of a (boundary) triangulation vertex as an ordered chain of
-    triangles and the interior edges joining them."""
-    tris_at = [t for t, tpl in enumerate(tri.tris) if vi in tpl]
-    if len(tris_at) == 1:
-        return tris_at, []
-    adj = {t: [] for t in tris_at}
-    for key in tri.interior_edges:
-        if vi not in key:
-            continue
-        o = tri.edge_tris[key]
-        adj[o[0]].append((key, o[1]))
-        adj[o[1]].append((key, o[0]))
-    ends = sorted(t for t in tris_at if len(adj[t]) == 1)
-    if not ends:
-        raise WordError("vertex star is not a chain")
-    chain = [ends[0]]
-    keys = []
-    prev = None
-    while True:
-        nxt = None
-        for key, other in adj[chain[-1]]:
-            if other != prev:
-                nxt = (key, other)
-                break
-        if nxt is None:
-            break
-        prev = chain[-1]
-        keys.append(nxt[0])
-        chain.append(nxt[1])
-    if len(chain) != len(tris_at):
-        raise WordError("vertex star is not a single chain")
-    return chain, keys
-
-
-def _fan_walk_letters(tri, chain, keys, i, j):
-    """Letters of the fan walk from chain[i] to chain[j]."""
-    out = []
-    if i <= j:
-        for t in range(i, j):
-            out.append((tri.edge_id[keys[t]], _tri_side(tri, keys[t], chain[t])))
-    else:
-        for t in range(i, j, -1):
-            out.append((tri.edge_id[keys[t - 1]], _tri_side(tri, keys[t - 1], chain[t])))
-    return out
+def _fan_walk_letters(tri: Triangulation, vi: int, t0: int, t1: int):
+    """Letters of the walk around the corner verts[vi] from its fan
+    triangle t0 to t1."""
+    chain, steps = tri.fans[vi]
+    i, j = chain.index(t0), chain.index(t1)
+    return steps[i:j] if i <= j else [(eid, -sign) for eid, sign in reversed(steps[j:i])]
 
 
 def canonical_class_key(word: CrossingWord, tri: Triangulation, p: Pt, q: Pt):
@@ -336,16 +289,13 @@ def canonical_class_key(word: CrossingWord, tri: Triangulation, p: Pt, q: Pt):
     start = word.start_tri
     vi = tri.vertex_at(p)
     if vi is not None:
-        chain, keys = _fan(tri, vi)
-        s = chain.index(start)
-        letters = _fan_walk_letters(tri, chain, keys, 0, s) + letters
-        start = chain[0]
+        first = tri.fans[vi][0][0]
+        letters = _fan_walk_letters(tri, vi, first, start) + letters
+        start = first
     end = walk_triangles(tri, start, letters)[-1]
     qi = tri.vertex_at(q)
     if qi is not None:
-        chain, keys = _fan(tri, qi)
-        e = chain.index(end)
-        letters = letters + _fan_walk_letters(tri, chain, keys, e, 0)
+        letters = letters + _fan_walk_letters(tri, qi, end, tri.fans[qi][0][0])
     return (start, reduce_word(letters))
 
 
@@ -432,14 +382,9 @@ class Sleeve:
         self.tri_seq = list(tri_seq)
         self.portals = list(portals)
         self.portal_pts = []
-        for k, key in enumerate(self.portals):
-            nxt = self.tri_seq[k + 1]
+        for key, nxt in zip(self.portals, self.tri_seq[1:]):
             u, v = tri.edge_pts(key)
-            w = next(x for x in tri.tris[nxt] if x not in key)
-            if orient(u, v, tri.verts[w]) > 0:
-                self.portal_pts.append((u, v))
-            else:
-                self.portal_pts.append((v, u))
+            self.portal_pts.append((u, v) if tri.side(key, nxt) > 0 else (v, u))
 
     def __len__(self):
         return len(self.tri_seq)

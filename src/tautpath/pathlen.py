@@ -102,7 +102,7 @@ def path_len(path, k_max: int = 8, refine: int = 3) -> LenValue:
     P = np.asarray(pts, dtype=np.float64)
     N = len(P)
     diff = P[:, None, :] - P[None, :, :]
-    dm = np.sqrt((diff * diff).sum(axis=-1))
+    dm = np.hypot(diff[..., 0], diff[..., 1])
     G = dm / (1.0 + dm)
     k = min(k_max, 8)
     full = 1 << k
@@ -122,7 +122,7 @@ def path_len(path, k_max: int = 8, refine: int = 3) -> LenValue:
     if k_max > k:
         value = max(value, _greedy_value(G, min(k_max, 32)))
     seg = P[1:] - P[:-1]
-    h = float(np.sqrt((seg * seg).sum(axis=-1)).max()) if N > 1 else 0.0
+    h = float(np.hypot(seg[:, 0], seg[:, 1]).max()) if N > 1 else 0.0
     diam = float(dm.max())
     slack = 2.0 ** -k + 2.0 * h
     cap = gauge(diam) - value

@@ -17,7 +17,7 @@ from tautpath.homotopy import validate_path
 def d1():
     outer = [(-5, -5), (5, -5), (5, 5), (-5, 5)]
     hole = [(-1, -1), (-1, 1), (1, 1), (1, -1)]
-    return PolygonalDomain.from_coords(outer, [hole])
+    return PolygonalDomain(outer, [hole])
 
 
 @pytest.fixture(scope="session")

@@ -22,6 +22,9 @@ check.
 `scan_crossing_word` reads a path's crossing word by testing every
 domain corner and every diagonal against every path edge, the reading
 the library's triangulation walk must reproduce.
+
+`scan_fan` finds a vertex's star by scanning every triangle and every
+diagonal, the fan the triangulation builds once from its turn table.
 """
 
 from __future__ import annotations
@@ -51,8 +54,7 @@ from tautpath.homotopy import (
     CrossingWord,
     InvalidPath,
     Sleeve,
-    _fan,
-    _fan_walk_letters,
+    WordError,
     _side,
     _tie,
     canonical_class_key,
@@ -302,7 +304,7 @@ def brute_len_value(pts, k: int, grid_pts=None):
 
 def tri_containing(tri, p: Pt):
     """Triangles whose closed region contains p, by a scan of them all."""
-    return [ti for ti in range(len(tri.tris)) if point_in_triangle(p, *tri.tri_pts(ti), closed=True)]
+    return [ti for ti in range(len(tri.tris)) if point_in_triangle(p, *tri.tri_pts(ti))]
 
 
 def _scan_stub_tri(tri, m: Pt, cands=None):
@@ -343,17 +345,73 @@ def _scan_start_tri(tri, path: PathPoly, records):
     return start
 
 
+def scan_fan(tri, vi: int):
+    """Star of a (boundary) triangulation vertex as an ordered chain of
+    triangles and the interior edges joining them, by a scan of every
+    triangle and every interior edge."""
+    tris_at = [t for t, tpl in enumerate(tri.tris) if vi in tpl]
+    if len(tris_at) == 1:
+        return tris_at, []
+    adj = {t: [] for t in tris_at}
+    for key in tri.interior_edges:
+        if vi not in key:
+            continue
+        o = tri.edge_tris[key]
+        adj[o[0]].append((key, o[1]))
+        adj[o[1]].append((key, o[0]))
+    ends = sorted(t for t in tris_at if len(adj[t]) == 1)
+    if not ends:
+        raise WordError("vertex star is not a chain")
+    chain = [ends[0]]
+    keys = []
+    prev = None
+    while True:
+        nxt = None
+        for key, other in adj[chain[-1]]:
+            if other != prev:
+                nxt = (key, other)
+                break
+        if nxt is None:
+            break
+        prev = chain[-1]
+        keys.append(nxt[0])
+        chain.append(nxt[1])
+    if len(chain) != len(tris_at):
+        raise WordError("vertex star is not a single chain")
+    return chain, keys
+
+
+def orient_side(tri, key, ti) -> int:
+    """Side of the edge key = (u, v) that triangle ti lies on, as the sign
+    of orient(u, v, w) for ti's third vertex w."""
+    u, v = tri.edge_pts(key)
+    w = next(x for x in tri.tris[ti] if x not in key)
+    return orient(u, v, tri.verts[w])
+
+
+def scan_fan_walk_letters(tri, chain, keys, i, j):
+    """Letters of the fan walk from chain[i] to chain[j]."""
+    out = []
+    if i <= j:
+        for t in range(i, j):
+            out.append((tri.edge_id[keys[t]], orient_side(tri, keys[t], chain[t])))
+    else:
+        for t in range(i, j, -1):
+            out.append((tri.edge_id[keys[t - 1]], orient_side(tri, keys[t - 1], chain[t])))
+    return out
+
+
 def _scan_corner_letters(tri, vi: int, a: Pt, c: Pt, b: Pt, before, after):
     """Fan walk of a path that arrives at corner c = verts[vi] from a,
     with crossings `before` on that edge, and leaves towards b, with
     crossings `after`.  Each end takes the fan triangle holding the point
     halfway between c and the edge's nearest crossing or far end."""
-    chain, keys = _fan(tri, vi)
+    chain, keys = scan_fan(tri, vi)
     t_in = (before[-1].t + 1) / 2 if before else rat(1) / 2
     t_out = after[0].t / 2 if after else rat(1) / 2
     i = chain.index(_scan_stub_tri(tri, lerp(a, c, t_in), chain))
     j = chain.index(_scan_stub_tri(tri, lerp(c, b, t_out), chain))
-    return _fan_walk_letters(tri, chain, keys, i, j)
+    return scan_fan_walk_letters(tri, chain, keys, i, j)
 
 
 def scan_crossing_word(path: PathPoly, tri) -> CrossingWord:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -72,6 +73,22 @@ def test_parse_coord_forms():
         parse_coord("1/0")
     with pytest.raises(ParseError):
         parse_coord("abc")
+    for v in (True, False):
+        with pytest.raises(ParseError, match="bad coordinate"):
+            parse_coord(v)
+
+
+def test_validate_rejects_boolean_coordinates(tmp_path, capsys):
+    # JSON false/true are not the numbers 0/1
+    fp = write_d1(tmp_path)
+    obj = json.loads(open(fp).read())
+    obj["domain"] = {"outer": [[False, False], [True, False], [True, True], [False, True]], "holes": []}
+    obj["path"] = [["0.25", "0.25"], ["0.75", "0.75"]]
+    open(fp, "w").write(json.dumps(obj))
+    assert main(["validate", fp]) == 1
+    out = capsys.readouterr()
+    assert out.err.startswith("error:") and "bad coordinate" in out.err
+    assert out.out == ""
 
 
 # --- generator ---
@@ -249,6 +266,25 @@ def test_tighten_taut_closure_path_is_left_alone(tmp_path, capsys):
     assert "output length : 6.472135955000" in out
     assert "moves         : 0 (0 spur, 0 chord)" in out
     assert "certificate   : ok" in out
+
+
+def test_tighten_past_the_float_range_of_squared_lengths(tmp_path, capsys):
+    # squared lengths near 1e399 overflow a float; the lengths themselves
+    # and the bounded length stay finite
+    big = {
+        "name": "huge",
+        "seed": 0,
+        "domain": {"outer": [["0", "0"], ["1e200", "0"], ["1e200", "1e200"], ["0", "1e200"]], "holes": []},
+        "path": [["1e199", "1e199"], ["5e199", "2e199"], ["3e199", "3e199"]],
+    }
+    fp, out_json = tmp_path / "huge.json", str(tmp_path / "rec.json")
+    fp.write_text(json.dumps(big))
+    assert main(["tighten", str(fp), "--certify-lines", "50", "--json", out_json, "--svg", str(tmp_path / "pic.svg")]) == 0
+    assert "certificate   : ok" in capsys.readouterr().out
+    rec = json.loads(open(out_json).read())
+    assert rec["vertices"] == [[str(10**199)] * 2, [str(3 * 10**199)] * 2]
+    for key in ("input_length", "output_length", "len_value", "len_error_bound"):
+        assert math.isfinite(rec[key]), key
 
 
 def test_tighten_svg_deterministic(tmp_path):

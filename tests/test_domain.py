@@ -41,35 +41,35 @@ def test_locate_d1_examples(d1):
 
 def test_validate_rejects_wrong_orientation():
     cw_outer = [(0, 0), (0, 4), (4, 4), (4, 0)]
-    rep = validate(PolygonalDomain.from_coords(cw_outer, []))
+    rep = validate(PolygonalDomain(cw_outer, []))
     assert not rep.ok
 
 
 def test_validate_rejects_ccw_hole():
     outer = [(0, 0), (8, 0), (8, 8), (0, 8)]
     ccw_hole = [(2, 2), (4, 2), (4, 4), (2, 4)]
-    rep = validate(PolygonalDomain.from_coords(outer, [ccw_hole]))
+    rep = validate(PolygonalDomain(outer, [ccw_hole]))
     assert not rep.ok
 
 
 def test_validate_rejects_hole_touching_boundary():
     outer = [(0, 0), (8, 0), (8, 8), (0, 8)]
     hole = [(0, 2), (2, 4), (2, 2)]  # shares a vertex region with the left wall
-    rep = validate(PolygonalDomain.from_coords(outer, [hole]))
+    rep = validate(PolygonalDomain(outer, [hole]))
     assert not rep.ok
     assert rep.violations
 
 
 def test_validate_rejects_self_intersection():
     bow = [(0, 0), (4, 4), (4, 0), (0, 4)]
-    rep = validate(PolygonalDomain.from_coords(bow, []))
+    rep = validate(PolygonalDomain(bow, []))
     assert not rep.ok
 
 
 def test_validate_rejects_hole_outside():
     outer = [(0, 0), (4, 0), (4, 4), (0, 4)]
     hole = [(6, 6), (6, 7), (7, 7), (7, 6)]
-    d = PolygonalDomain.from_coords(outer, [list(reversed(hole))])
+    d = PolygonalDomain(outer, [list(reversed(hole))])
     assert not validate(d).ok
 
 
@@ -121,13 +121,13 @@ def test_locate_agrees_with_triangulation_on_batch():
             else:
                 assert owners
                 for ti in owners:
-                    assert point_in_triangle(p, *tri.tri_pts(ti), closed=True)
+                    assert point_in_triangle(p, *tri.tri_pts(ti))
 
 
 def test_triangulate_rejects_invalid():
     bow = [(0, 0), (4, 4), (4, 0), (0, 4)]
     with pytest.raises(InvalidPath, match="^domain: "):
-        triangulate(PolygonalDomain.from_coords(bow, []))
+        triangulate(PolygonalDomain(bow, []))
 
 
 def test_feature_size_positive(d1):
@@ -151,3 +151,39 @@ def test_random_convex_polygons_triangulate(n, seed):
         return
     tri = triangulate(d)
     assert len(tri.tris) == len(poly) - 2
+
+
+def test_fans_match_the_scan(d1):
+    """Every vertex's stored fan equals the scan of its star, and the side
+    read from triangle order equals orient's on every (edge, owner) pair."""
+    from oracles import orient_side, scan_fan
+    from tautpath.cli import generate_instance
+    from test_tighten import COLLINEAR_RECTS, CORNER_START, SHARED_BRIDGE
+
+    domains = [d1, CORNER_START, SHARED_BRIDGE, COLLINEAR_RECTS]
+    domains += [generate_instance(s, holes=s % 5, vertices=8 + s % 12)["domain"] for s in range(300)]
+    fans = pairs = 0
+    for d in domains:
+        tri = triangulate(d)
+        for vi in range(len(tri.verts)):
+            chain, keys = scan_fan(tri, vi)
+            steps = [(tri.edge_id[k], orient_side(tri, k, t)) for k, t in zip(keys, chain)]
+            assert tri.fans[vi] == (chain, steps), (d, vi)
+            fans += 1
+        for key, owners in tri.edge_tris.items():
+            for ti in owners:
+                assert tri.side(key, ti) == orient_side(tri, key, ti), (d, key, ti)
+                pairs += 1
+    assert fans == 60 + 6236, fans
+    assert pairs == 3 * sum(len(triangulate(d).tris) for d in domains), pairs
+
+
+def test_broken_star_is_rejected_when_built():
+    from tautpath.domain import Triangulation, TriangulationError
+
+    d = PolygonalDomain([(0, 0), (2, 0), (2, 2), (0, 2)])
+    assert Triangulation(d, [(0, 1, 2), (0, 2, 3)]).fans[0] == ([0, 1], [(0, -1)])
+    # the right areas and count, but the star of vertex 0 stops at the
+    # diagonal (0, 2), and vertex 3 lies in no triangle
+    with pytest.raises(TriangulationError, match="star of vertex 0 is not a single chain"):
+        Triangulation(d, [(0, 1, 2), (0, 1, 2)])

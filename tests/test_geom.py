@@ -25,6 +25,7 @@ from tautpath.geom import (
     point_seg_dist2,
     polyline_length,
     rat,
+    seg_length,
     seg_param,
     segments_intersect,
 )
@@ -207,7 +208,7 @@ def test_clip_line_to_triangle_inside(a, b, t1, t2, t3):
     t0, t1_ = got
     assert t0 <= t1_
     mid = ln.anchor + ln.direction.scaled((t0 + t1_) / 2)
-    assert point_in_triangle(mid, t1, t2, t3, closed=True)
+    assert point_in_triangle(mid, t1, t2, t3)
 
 
 @given(pts, pts, pts)
@@ -249,3 +250,15 @@ def test_cross_dot_identities(a, b, c):
     v = c - a
     assert cross(u, v) == -cross(v, u)
     assert dot(u, v) == dot(v, u)
+
+
+def test_seg_length_past_the_float_range_of_its_square():
+    # the squared length, 1.7e399, does not fit a float; the length does
+    a, b = Pt("1e199", "1e199"), Pt("5e199", "2e199")
+    assert seg_length(a, b) == math.hypot(4e199, 1e199)
+    assert polyline_length([a, b, Pt("3e199", "3e199")]) < math.inf
+
+
+@given(pts, pts)
+def test_seg_length_is_the_root_of_the_float_square(a, b):
+    assert seg_length(a, b) == math.sqrt(float(dist2(a, b)))

@@ -238,3 +238,10 @@ def test_flat_route_pair_certified_on_fine_grid():
     bounds = lo.error_bound + lg.error_bound
     assert gap > bounds + 0.005
     assert len_compare(chop(OVER, 0.009), chop(GOLD, 0.009), 20, 0) == "greater"
+
+
+def test_huge_coordinates_give_a_finite_value():
+    # squared differences near 1e399 overflow; the distances do not
+    lv = path_len([(1e199, 1e199), (5e199, 2e199), (3e199, 3e199)])
+    assert math.isfinite(lv.value) and math.isfinite(lv.error_bound)
+    assert lv.value + lv.error_bound <= 1.0

@@ -322,12 +322,13 @@ def test_path_along_a_boundary_edge_is_pushed_off(d1):
 
 
 def test_path_through_a_straight_corner(d1_straight):
-    from tautpath.homotopy import _fan, crossing_word
+    from oracles import scan_fan
+    from tautpath.homotopy import crossing_word
 
     p = PathPoly([(-3, -2), (0, -5), (3, -2)])
     # the path passes the corner through its whole fan, recorded at the corner
     tri = triangulate(d1_straight)
-    _, keys = _fan(tri, tri.vertex_at(Pt(0, -5)))
+    _, keys = scan_fan(tri, tri.vertex_at(Pt(0, -5)))
     recs = crossing_word(word_of(p, tri).path, tri).records
     assert len(keys) == 3
     assert [(r.edge_index, r.t, r.eid) for r in recs if r.t == 1] == [(0, 1, tri.edge_id[k]) for k in keys]
@@ -391,7 +392,7 @@ def _square(x0, y0, x1, y1):
 
 # four holes, three of them diamonds; paths from the corner (1, 1) start
 # with a walk around its fan
-CORNER_START = PolygonalDomain.from_coords(
+CORNER_START = PolygonalDomain(
     _square(-8, -8, 8, 8)[::-1],
     [
         [(-4, 0), (-3, 1), (-2, 0), (-3, -1)],
@@ -402,12 +403,12 @@ CORNER_START = PolygonalDomain.from_coords(
 )
 # the bridges of the second and third hole both end at the corner (-2, -1)
 SHARED_BRIDGE_HOLES = [_square(-4, -1, -2, 1), _square(2, -1, 4, 1), _square(-1, -4, 1, -2)]
-SHARED_BRIDGE = PolygonalDomain.from_coords(_square(-6, -6, 6, 6)[::-1], SHARED_BRIDGE_HOLES)
-SHARED_BRIDGE4 = PolygonalDomain.from_coords(
+SHARED_BRIDGE = PolygonalDomain(_square(-6, -6, 6, 6)[::-1], SHARED_BRIDGE_HOLES)
+SHARED_BRIDGE4 = PolygonalDomain(
     _square(-6, -6, 6, 6)[::-1], SHARED_BRIDGE_HOLES + [_square(-1, 2, 1, 4)]
 )
 # three rectangles whose top and bottom edges lie on two shared lines
-COLLINEAR_RECTS = PolygonalDomain.from_coords(
+COLLINEAR_RECTS = PolygonalDomain(
     _square(-7, -5, 7, 5)[::-1], [_square(x, -2, x + 2, 2) for x in (-5, -1, 3)]
 )
 
