@@ -18,7 +18,7 @@ import tempfile
 from dataclasses import asdict
 
 from .domain import PolygonalDomain, TriangulationError, triangulate, validate
-from .geom import GeomError, Pt, rat
+from .geom import GeomError, Pt, polyline_length, rat
 from .homotopy import (
     EndpointMismatch,
     PathPoly,
@@ -68,15 +68,21 @@ def coord_str(q) -> str:
     return ("-" if neg else "") + s
 
 
+# Reports (lengths, path_len, the SVG, random lines) are floats; below this
+# bound every coordinate difference and segment length fits a float.
+COORD_LIMIT = 2**1022
+
+
 def parse_coord(v):
     try:
-        if isinstance(v, (int, float)) and not isinstance(v, bool):
-            return rat(v)
-        if isinstance(v, str):
-            return rat(v.strip())
+        if isinstance(v, bool) or not isinstance(v, (int, float, str)):
+            raise TypeError("not a number")
+        q = rat(v.strip() if isinstance(v, str) else v)
+        if abs(q) > COORD_LIMIT:
+            raise ValueError("magnitude above 2**1022")
+        return q
     except (ValueError, ZeroDivisionError, TypeError, OverflowError) as e:
         raise ParseError(f"bad coordinate {v!r}: {e}") from None
-    raise ParseError(f"bad coordinate {v!r}")
 
 
 def _parse_points(obj, what, least):
@@ -338,8 +344,10 @@ def _cmd_tighten(args) -> int:
     if args.certify_lines:
         cert = certify_efficient(rep.path, inst["domain"], lines=args.certify_lines, seed=args.seed)
     spur = sum(1 for m in rep.moves if m.kind == "spur")
-    print(f"input length  : {rep.length_trace[0]:.12f}")
-    print(f"output length : {rep.length_trace[-1]:.12f}")
+    in_len = polyline_length(inst["path"].vertices)
+    out_len = polyline_length(rep.moves[-1].verts_after) if rep.moves else in_len
+    print(f"input length  : {in_len:.12f}")
+    print(f"output length : {out_len:.12f}")
     print(f"moves         : {len(rep.moves)} ({spur} spur, {len(rep.moves) - spur} chord)")
     print(f"word length   : {rep.word_length}")
     if cert is None:
@@ -358,8 +366,8 @@ def _cmd_tighten(args) -> int:
         lv = path_len(rep.path)
         record = {
             "name": inst["name"],
-            "input_length": rep.length_trace[0],
-            "output_length": rep.length_trace[-1],
+            "input_length": in_len,
+            "output_length": out_len,
             "len_value": lv.value,
             "len_error_bound": lv.error_bound,
             "moves": len(rep.moves),

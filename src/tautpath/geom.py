@@ -380,7 +380,11 @@ def seg_param(a: Pt, b: Pt, p: Pt):
 
 
 def polyline_length(pts) -> float:
-    return math.fsum(seg_length(pts[i], pts[i + 1]) for i in range(len(pts) - 1))
+    """Euclidean length, inf when it does not fit a float."""
+    try:
+        return math.fsum(seg_length(pts[i], pts[i + 1]) for i in range(len(pts) - 1))
+    except OverflowError:
+        return math.inf
 
 
 def dedupe_collinear(pts):

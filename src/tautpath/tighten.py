@@ -28,7 +28,6 @@ from .geom import (
     line_side,
     on_segment,
     orient,
-    polyline_length,
     rat,
     seg_param,
 )
@@ -57,9 +56,6 @@ class NonTerminating(Exception):
 class Move:
     kind: str  # "spur" or "chord"
     line: Optional[LineSpec]
-    chord_index: int
-    m1: Optional[tuple]
-    m2: Optional[tuple]
     verts_after: list
     pos_after: Optional[list]
 
@@ -77,18 +73,28 @@ class CertificateSummary:
 
 @dataclass
 class TightenReport:
+    """A run's result.  `moves` is its only record: each move keeps the
+    path after it, from which readers compute lengths and the like."""
+
     path: PathPoly
     tri: Triangulation
     sleeve: Sleeve
     spath: SleevePath
     moves: list
-    length_trace: list
     replay_base: tuple
     word_length: int
     wall_time: float
 
 
 # ---------------------------------------------------------------- meetings
+
+
+def _copy_window(spath: SleevePath, i: int, j: int):
+    """Parameter window of path edge i in sleeve copy j (portal j-1 to j)."""
+    win = spath.edge_portal_windows(i)
+    lo = win[j - 1][0] if j - 1 >= spath.pos[i] else rat(0)
+    hi = win[j][1] if j <= spath.pos[i + 1] - 1 else rat(1)
+    return lo, hi
 
 
 def chord_meeting_components(spath: SleevePath, chord) -> list:
@@ -108,7 +114,6 @@ def chord_meeting_components(spath: SleevePath, chord) -> list:
         hit = line_hits_segment(line, a, b)
         if hit is None:
             continue
-        win = spath.edge_portal_windows(i)
         if hit[0] == "pt":
             s_pt = seg_param(a, b, hit[1]) if a != b else None
             t_pt = line_param(line, hit[1])
@@ -116,8 +121,7 @@ def chord_meeting_components(spath: SleevePath, chord) -> list:
             t_a = line_param(line, a)
             t_b = line_param(line, b)
         for j in range(jlo, jhi + 1):
-            vlo = win[j - 1][0] if j - 1 >= pos[i] else rat(0)
-            vhi = win[j][1] if j <= pos[i + 1] - 1 else rat(1)
+            vlo, vhi = _copy_window(spath, i, j)
             if vlo > vhi:
                 continue
             lo_t, hi_t = chord.span_at(j)
@@ -165,13 +169,6 @@ def _component_ends(comps):
     return (r1[0], r1[1], r1[3]), (r2[0], r2[2], r2[3])
 
 
-def _copy_valid(spath, i, s, j):
-    win = spath.edge_portal_windows(i)
-    vlo = win[j - 1][0] if j - 1 >= spath.pos[i] else rat(0)
-    vhi = win[j][1] if j <= spath.pos[i + 1] - 1 else rat(1)
-    return vlo <= s <= vhi
-
-
 def replace_move(spath: SleevePath, chord, m1, m2) -> Optional[SleevePath]:
     """Replace the path between meetings m1 = (edge, s, copy) and m2 by
     the straight run along the chord.  Returns the new path, or None when
@@ -187,7 +184,8 @@ def replace_move(spath: SleevePath, chord, m1, m2) -> Optional[SleevePath]:
             raise ChordMismatch("meeting copy outside the chord")
         if not (pos[i] <= j <= pos[i + 1]):
             raise ChordMismatch("meeting copy incompatible with the path")
-        if not _copy_valid(spath, i, s, j):
+        lo, hi = _copy_window(spath, i, j)
+        if not (lo <= s <= hi):
             raise ChordMismatch("meeting parameter outside the copy's window")
     if (i1 + s1, j1) > (i2 + s2, j2):
         raise ChordMismatch("meetings out of order")
@@ -233,12 +231,7 @@ def _line_misses_path(line: LineSpec, verts) -> bool:
 
 
 def _family_lines(tri: Triangulation, extra):
-    pts = []
-    seen = set()
-    for p in list(tri.verts) + list(extra):
-        if p not in seen:
-            seen.add(p)
-            pts.append(p)
+    pts = list(dict.fromkeys(list(tri.verts) + list(extra)))
     lines = {}
     for i in range(len(pts)):
         for k in range(i + 1, len(pts)):
@@ -249,8 +242,7 @@ def _family_lines(tri: Triangulation, extra):
 
 def _random_lines(d: PolygonalDomain, n: int, seed) -> list:
     rng = random.Random(seed)
-    x0, y0, x1, y1 = d.bbox()
-    x0, y0, x1, y1 = float(x0), float(y0), float(x1), float(y1)
+    x0, y0, x1, y1 = (float(v) for v in d.bbox())
     out = []
     for _ in range(n):
         theta = rng.random() * math.pi
@@ -260,7 +252,7 @@ def _random_lines(d: PolygonalDomain, n: int, seed) -> list:
     return out
 
 
-def _sweep(spath, lines, moves, trace, budget):
+def _sweep(spath, lines, moves, budget):
     """Visit every lifted chord of every line once, replacing the stretch
     between its first and last meeting while it meets the path in more
     than one component.  A connected meeting set stays connected under
@@ -270,15 +262,14 @@ def _sweep(spath, lines, moves, trace, budget):
     for line in lines:
         if _line_misses_path(line, spath.verts):
             continue
-        for ci, chord in enumerate(line_lifts(line, sleeve)):
+        for chord in line_lifts(line, sleeve):
             while len(comps := chord_meeting_components(spath, chord)) > 1:
                 m1, m2 = _component_ends(comps)
                 new = replace_move(spath, chord, m1, m2)
                 if new is None:
                     break
                 spath = new
-                trace.append(polyline_length(spath.verts))
-                moves.append(Move("chord", line, ci, m1, m2, list(spath.verts), list(spath.pos)))
+                moves.append(Move("chord", line, list(spath.verts), list(spath.pos)))
                 if len(moves) > budget:
                     raise NonTerminating("move budget exceeded")
     return spath
@@ -321,7 +312,7 @@ def _snip_spur(word: CrossingWord, i: int) -> PathPoly:
     return PathPoly(out)
 
 
-def _remove_spurs(word: CrossingWord, tri: Triangulation, moves=None, trace=None) -> CrossingWord:
+def _remove_spurs(word: CrossingWord, tri: Triangulation, moves=None) -> CrossingWord:
     """Shorten the word's path until its raw crossing word is freely
     reduced."""
     limit = len(word.letters) // 2 + 2
@@ -332,18 +323,16 @@ def _remove_spurs(word: CrossingWord, tri: Triangulation, moves=None, trace=None
             raise NonTerminating("spur removal failed to reduce the word")
         path = _snip_spur(word, i)
         if moves is not None:
-            moves.append(Move("spur", None, -1, None, None, list(path.vertices), None))
-        if trace is not None:
-            trace.append(polyline_length(path.vertices))
+            moves.append(Move("spur", None, list(path.vertices), None))
         word = crossing_word(path, tri)
     return word
 
 
-def _as_sleeve_path(path: PathPoly, d: PolygonalDomain, moves=None, trace=None):
+def _as_sleeve_path(path: PathPoly, d: PolygonalDomain, moves=None):
     """(sleeve, sleeve path) of a valid path: its strict form with the
     spurs removed, positioned by its own crossing records."""
     tri = triangulate(d)
-    word = _remove_spurs(word_of(path, tri), tri, moves, trace)
+    word = _remove_spurs(word_of(path, tri), tri, moves)
     sleeve = build_sleeve(word, tri)
     edges = [r.edge_index for r in word.records]
     pos = [bisect_left(edges, i) for i in range(len(word.path.vertices))]
@@ -358,10 +347,9 @@ def tighten(path, domain: PolygonalDomain) -> TightenReport:
     t0 = time.perf_counter()
     p = path if isinstance(path, PathPoly) else PathPoly(path)
     moves: list = []
-    trace = [polyline_length(p.vertices)]
     # InvalidPath comes from triangulate for an invalid domain, and from
     # word_of for a path that leaves it
-    sleeve, spath = _as_sleeve_path(p, domain, moves, trace)
+    sleeve, spath = _as_sleeve_path(p, domain, moves)
     tri = sleeve.tri
     replay_base = (list(spath.verts), list(spath.pos))
 
@@ -377,7 +365,7 @@ def tighten(path, domain: PolygonalDomain) -> TightenReport:
         if not lines:
             break
         swept.update(ln.key for ln in lines)
-        spath = _sweep(spath, lines, moves, trace, budget)
+        spath = _sweep(spath, lines, moves, budget)
         extra = spath.verts
 
     out_pts = dedupe_collinear(spath.verts)
@@ -389,7 +377,6 @@ def tighten(path, domain: PolygonalDomain) -> TightenReport:
         sleeve=sleeve,
         spath=spath,
         moves=moves,
-        length_trace=trace,
         replay_base=replay_base,
         word_length=len(sleeve.portals),
         wall_time=time.perf_counter() - t0,

@@ -76,6 +76,12 @@ def test_parse_coord_forms():
     for v in (True, False):
         with pytest.raises(ParseError, match="bad coordinate"):
             parse_coord(v)
+    # the bound past which reported lengths could overflow is inclusive
+    assert parse_coord(str(2**1022)) == 2**1022
+    assert parse_coord(-(2**1022)) == -(2**1022)
+    for v in (str(2**1022 + 1), -float(2**1023), "1e400"):
+        with pytest.raises(ParseError, match="bad coordinate"):
+            parse_coord(v)
 
 
 def test_validate_rejects_boolean_coordinates(tmp_path, capsys):
@@ -285,6 +291,54 @@ def test_tighten_past_the_float_range_of_squared_lengths(tmp_path, capsys):
     assert rec["vertices"] == [[str(10**199)] * 2, [str(3 * 10**199)] * 2]
     for key in ("input_length", "output_length", "len_value", "len_error_bound"):
         assert math.isfinite(rec[key]), key
+
+
+def square_instance(tmp_path, name, lo, hi, path):
+    obj = {
+        "name": name,
+        "seed": 0,
+        "domain": {"outer": [[lo, lo], [hi, lo], [hi, hi], [lo, hi]], "holes": []},
+        "path": path,
+    }
+    fp = tmp_path / f"{name}.json"
+    fp.write_text(json.dumps(obj))
+    return str(fp)
+
+
+@pytest.mark.parametrize(
+    "lo, hi, path",
+    [
+        # coordinates no float can hold
+        ("0", "1e400", [["1e399", "1e399"], ["5e399", "2e399"], ["3e399", "3e399"]]),
+        # each coordinate fits a float, but not their differences
+        ("-1.5e308", "1.5e308", [["-1e308", "0"], ["1e308", "1"], ["1e308", "2"]]),
+    ],
+)
+@pytest.mark.parametrize("cmd", ["validate", "tighten"])
+def test_coordinates_past_the_reported_range_rejected(tmp_path, cmd, lo, hi, path):
+    fp = square_instance(tmp_path, "huge", lo, hi, path)
+    res = subprocess.run(
+        [sys.executable, "-m", "tautpath.cli", cmd, fp], capture_output=True, text=True
+    )
+    assert res.returncode == 1
+    assert res.stderr.startswith("error: bad coordinate")
+    assert "Traceback" not in res.stderr
+
+
+def test_tighten_reports_a_length_past_the_float_range(tmp_path, capsys):
+    # every segment fits a float, but the zigzag's total does not: it is
+    # reported as inf, and the taut path is a single segment
+    zig = [[x, str(y)] for y in range(3) for x in ("-3e307", "3e307")]
+    fp = square_instance(tmp_path, "zigzag", "-4e307", "4e307", zig)
+    out_json = str(tmp_path / "rec.json")
+    assert main(["tighten", fp, "--certify-lines", "20", "--json", out_json]) == 0
+    out = capsys.readouterr().out
+    assert "input length  : inf" in out
+    assert "certificate   : ok" in out
+    rec = json.loads(open(out_json).read())
+    assert rec["input_length"] == math.inf
+    assert rec["output_length"] == math.hypot(6e307, 2)
+    assert rec["vertices"] == [["-3" + "0" * 307, "0"], ["3" + "0" * 307, "2"]]
 
 
 def test_tighten_svg_deterministic(tmp_path):

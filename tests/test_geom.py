@@ -259,6 +259,13 @@ def test_seg_length_past_the_float_range_of_its_square():
     assert polyline_length([a, b, Pt("3e199", "3e199")]) < math.inf
 
 
+def test_polyline_length_past_the_float_range_is_inf():
+    # each segment fits a float; their sum, 3e308, does not
+    zig = [Pt(x, y) for y in range(3) for x in ("-3e307", "3e307")]
+    assert seg_length(zig[0], zig[1]) == 6e307
+    assert polyline_length(zig) == math.inf
+
+
 @given(pts, pts)
 def test_seg_length_is_the_root_of_the_float_square(a, b):
     assert seg_length(a, b) == math.sqrt(float(dist2(a, b)))

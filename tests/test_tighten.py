@@ -242,12 +242,21 @@ def test_spur_input_collapses_to_segment(d1):
 
 
 def test_length_trace_monotone(d1, loop_path):
+    # the lengths are read from the move log, which is the run's record
     rep = tighten(loop_path, d1)
-    trace = rep.length_trace
+    trace = [polyline_length(loop_path.vertices)] + [polyline_length(m.verts_after) for m in rep.moves]
     assert len(trace) >= 2
     for a, b in zip(trace, trace[1:]):
         assert b <= a + 1e-12
     assert relclose(trace[-1], LEN_LOOP)
+
+
+def test_tighten_past_the_float_range():
+    # the engine is exact: coordinates no float can hold are pulled tight
+    # like any others
+    big = PolygonalDomain([Pt("0", "0"), Pt("1e400", "0"), Pt("1e400", "1e400"), Pt("0", "1e400")], [])
+    rep = tighten(PathPoly([Pt("1e399", "1e399"), Pt("5e399", "2e399"), Pt("3e399", "3e399")]), big)
+    assert rep.path.vertices == [Pt(10**399, 10**399), Pt(3 * 10**399, 3 * 10**399)]
 
 
 def test_tighten_idempotent(d1):
