@@ -68,7 +68,7 @@ def coord_str(q) -> str:
     return ("-" if neg else "") + s
 
 
-# Reports (lengths, path_len, the SVG, random lines) are floats; below this
+# Reports (lengths, path_len, the SVG) are floats; below this
 # bound every coordinate difference and segment length fits a float.
 COORD_LIMIT = 2**1022
 
@@ -342,7 +342,7 @@ def _cmd_tighten(args) -> int:
     rep = tighten(inst["path"], inst["domain"])
     cert = None
     if args.certify_lines:
-        cert = certify_efficient(rep.path, inst["domain"], lines=args.certify_lines, seed=args.seed)
+        cert = certify_efficient(rep.path, inst["domain"])
     spur = sum(1 for m in rep.moves if m.kind == "spur")
     in_len = polyline_length(inst["path"].vertices)
     out_len = polyline_length(rep.moves[-1].verts_after) if rep.moves else in_len
@@ -427,8 +427,10 @@ def main(argv=None) -> int:
 
     t = sub.add_parser("tighten", help="pull a path tight within its class")
     t.add_argument("instance")
-    t.add_argument("--certify-lines", type=int, default=0, metavar="N")
-    t.add_argument("--seed", type=int, default=0)
+    t.add_argument(
+        "--certify-lines", type=int, default=0, metavar="N",
+        help="certify the output when N >= 1; every such N checks the same lines (default 0: no certificate)",
+    )
     t.add_argument("--svg", metavar="FILE")
     t.add_argument("--json", metavar="FILE")
 

@@ -253,10 +253,6 @@ class LineSpec:
             raise GeomError("coincident points define no line")
         return cls(p, q - p)
 
-    @classmethod
-    def from_angle(cls, theta: float, anchor: Pt) -> "LineSpec":
-        return cls(anchor, Pt(rat(math.cos(theta)), rat(math.sin(theta))))
-
     def __eq__(self, o):
         return isinstance(o, LineSpec) and self.key == o.key
 

@@ -39,6 +39,7 @@ from tautpath.geom import (
     Segment,
     cross,
     dist2,
+    dot,
     lerp,
     on_segment,
     orient,
@@ -213,7 +214,9 @@ def probe_taut_vertex_violations(pts, d):
     fs = float(d.feature_size2())
     for k in range(1, len(pts) - 1):
         u, v, w = pts[k - 1], pts[k], pts[k + 1]
-        if orient(u, v, w) == 0:
+        # a straight pass through v is no bend; a reversal is one, and the
+        # segment across it runs along the path itself
+        if orient(u, v, w) == 0 and dot(v - u, w - v) >= 0:
             continue
         if v not in dverts:
             out.append(f"vertex {k} bends away from every domain corner")

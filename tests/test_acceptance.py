@@ -30,6 +30,7 @@ from tautpath.homotopy import (
 )
 from tautpath.pathlen import len_compare, path_len
 from tautpath.tighten import (
+    _family_lines,
     certify_efficient,
     funnel_shortest,
     tighten,
@@ -220,16 +221,15 @@ def test_criterion_3_start_independence(insts20, tight20):
 def test_criterion_4_line_certificates(insts20, tight20, perturbed100):
     crit_attempt(4)
     sampled_min = None
-    for i, (inst, rep) in enumerate(zip(insts20, tight20)):
-        cert = certify_efficient(rep.path, inst["domain"], lines=1000, seed=700 + i)
-        assert cert.lines_sampled >= 1000, inst["name"]
+    for inst, rep in zip(insts20, tight20):
+        cert = certify_efficient(rep.path, inst["domain"])
+        family = _family_lines(triangulate(inst["domain"]), [rep.path.start, rep.path.end])
+        assert cert.lines_sampled == len(family), inst["name"]
         assert cert.violations == [], inst["name"]
         assert cert.taut_vertices_ok, inst["name"]
         sampled_min = cert.lines_sampled if sampled_min is None else min(sampled_min, cert.lines_sampled)
-    for k, (inst, rep, pert) in enumerate(perturbed100):
-        cert = certify_efficient(
-            pert, inst["domain"], lines=1000, seed=900 + k, stop_after=1
-        )
+    for inst, rep, pert in perturbed100:
+        cert = certify_efficient(pert, inst["domain"], stop_after=1)
         assert any(v.startswith("line ") for v in cert.violations), inst["name"]
     crit_pass(
         4,

@@ -239,8 +239,7 @@ def test_tighten_reports_and_artifacts(tmp_path, capsys):
     out_json = str(tmp_path / "rec.json")
     out_svg = str(tmp_path / "pic.svg")
     code = main(
-        ["tighten", fp, "--certify-lines", "300", "--seed", "42",
-         "--json", out_json, "--svg", out_svg]
+        ["tighten", fp, "--certify-lines", "300", "--json", out_json, "--svg", out_svg]
     )
     assert code == 0
     out = capsys.readouterr().out
@@ -464,3 +463,21 @@ def test_console_script_smoke(tmp_path):
     assert res.returncode == 0
     obj = json.loads(res.stdout)
     assert "domain" in obj and "path" in obj
+
+
+# --- README ---
+
+
+def test_readme_quickstart_prints_what_it_says(capsys):
+    """README's library quickstart runs, and each print followed by a
+    comment prints that comment (up to a three-space annotation)."""
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as f:
+        readme = f.read()
+    block = readme.split("## Library quickstart", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    expected = [
+        nxt[2:].split("   ")[0] for line, nxt in zip(lines, lines[1:]) if line.startswith("print(") and nxt.startswith("# ")
+    ]
+    exec(compile(block, "README.md", "exec"), {})
+    assert len(expected) == 2
+    assert capsys.readouterr().out.splitlines()[:2] == expected
