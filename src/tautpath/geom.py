@@ -221,37 +221,47 @@ def segments_intersect(s: Segment, t: Segment):
 
 
 class LineSpec:
-    """Unbounded line given by an anchor point and a direction vector.
+    """Unbounded line through an anchor point and a tip point, the anchor
+    plus the direction vector it was given.
 
     The stored key is the primitive integer triple (A, B, C) of
     A*x + B*y = C with a fixed sign convention, so equal lines compare
     and hash equal regardless of how they were specified.
     """
 
-    __slots__ = ("anchor", "direction", "tip", "key", "_frame")
+    __slots__ = ("anchor", "tip", "key", "_frame")
 
     def __init__(self, anchor: Pt, direction: Pt):
         if direction.x == 0 and direction.y == 0:
             raise GeomError("zero direction")
+        self._set(anchor, anchor + direction)
+
+    @classmethod
+    def through(cls, p: Pt, q: Pt) -> "LineSpec":
+        if p == q:
+            raise GeomError("coincident points define no line")
+        line = cls.__new__(cls)
+        line._set(p, q)
+        return line
+
+    def _set(self, anchor: Pt, tip: Pt):
         self.anchor = anchor
-        self.direction = direction
-        self.tip = anchor + direction
+        self.tip = tip
         self._frame = None
-        # (A, B, C) is proportional to (u.y, -u.x, u.y*o.x - u.x*o.y)
-        x, y, w = _homog(anchor)
-        dx, dy, _ = _homog(direction)
-        ai, bi, ci = dy * w, -dx * w, dy * x - dx * y
+        # (A, B, C) is the cross product of the homogeneous (X, Y, W) of
+        # anchor and tip, which both satisfy A*X + B*Y = C*W
+        x1, y1, w1 = _homog(anchor)
+        x2, y2, w2 = _homog(tip)
+        ai, bi, ci = y2 * w1 - y1 * w2, x1 * w2 - x2 * w1, x1 * y2 - y1 * x2
         g = math.gcd(ai, bi, ci)
         ai, bi, ci = ai // g, bi // g, ci // g
         if ai < 0 or (ai == 0 and bi < 0):
             ai, bi, ci = -ai, -bi, -ci
         self.key = (ai, bi, ci)
 
-    @classmethod
-    def through(cls, p: Pt, q: Pt) -> "LineSpec":
-        if p == q:
-            raise GeomError("coincident points define no line")
-        return cls(p, q - p)
+    @property
+    def direction(self) -> Pt:
+        return self.tip - self.anchor
 
     def __eq__(self, o):
         return isinstance(o, LineSpec) and self.key == o.key

@@ -4,9 +4,12 @@ A path is straightened by repeatedly picking a line, lifting it into the
 sleeve of the path's homotopy class, and replacing the stretch between
 the first and last meeting with one lifted chord by the straight run
 along that chord.  A path is done when every lifted chord meets it in a
-connected (possibly empty) parameter set.  The same test over the lines
-through two domain vertices or path endpoints, with an exact check of
-every bend, certifies a finished path as shortest in its class.
+connected (possibly empty) parameter set.  A line that meets the path in
+one connected piece of the plane is never lifted: the path's lift along
+that piece stays on one chord, so no chord of the line can meet the path
+twice, and skipping the line changes no move.  The same test over the
+lines through two domain vertices or path endpoints, with an exact check
+of every bend, certifies a finished path as shortest in its class.
 """
 
 from __future__ import annotations
@@ -224,20 +227,41 @@ def replace_move(spath: SleevePath, chord, m1, m2) -> Optional[SleevePath]:
 # ---------------------------------------------------------------- sweep
 
 
-def _line_misses_path(line: LineSpec, verts) -> bool:
-    """Every path vertex lies strictly on one side of the line."""
-    first = line_side(line, verts[0])
-    return first != 0 and all(line_side(line, v) == first for v in verts[1:])
+def _meets_in_one_piece(line: LineSpec, verts) -> bool:
+    """The path meets the line in a connected (possibly empty) set of the
+    plane.  Along the path's vertex sides an event is a maximal run of
+    zeros or a sign change between consecutive nonzero sides; with at most
+    one event the meeting is empty, one crossing point or one run along
+    the line.  No lifted chord of such a line meets the path in two
+    pieces: a chord ends only where the line misses a portal, and the
+    line meets every portal that the piece crosses, so the piece's lift
+    stays on one chord."""
+    events, prev = 0, None
+    for v in verts:
+        s = line_side(line, v)
+        if s != prev and (s == 0 or prev == -s):
+            events += 1
+            if events > 1:
+                return False
+        prev = s
+    return True
 
 
-def _family_lines(tri: Triangulation, extra):
-    pts = list(dict.fromkeys(list(tri.verts) + list(extra)))
+def _family_lines(tri: Triangulation, extra, swept=frozenset()):
+    """The lines through two of {domain vertices, extra}, one per key in
+    key order, less the keys in `swept`.  Once a round has swept every
+    line through two domain vertices, only pairs with an extra point can
+    give a new line, so only those are built; each key keeps the line of
+    its first pair either way."""
+    pts = dict.fromkeys(tri.verts)
+    first = len(pts) if swept else 0
+    pts = list(pts | dict.fromkeys(extra))
     lines = {}
     for i in range(len(pts)):
-        for k in range(i + 1, len(pts)):
+        for k in range(max(i + 1, first), len(pts)):
             ln = LineSpec.through(pts[i], pts[k])
             lines.setdefault(ln.key, ln)
-    return [lines[k] for k in sorted(lines)]
+    return [lines[k] for k in sorted(lines) if k not in swept]
 
 
 def _sweep(spath, lines, moves, budget):
@@ -245,10 +269,12 @@ def _sweep(spath, lines, moves, budget):
     between its first and last meeting while it meets the path in more
     than one component.  A connected meeting set stays connected under
     later moves (two straight chords in a developed sleeve cross at most
-    once), so no chord needs a second visit."""
+    once), so no chord needs a second visit.  A line that meets the path
+    in one piece of the plane is skipped: none of its chords meets the
+    path in two (`_meets_in_one_piece`), so visiting it would move nothing."""
     sleeve = spath.sleeve
     for line in lines:
-        if _line_misses_path(line, spath.verts):
+        if _meets_in_one_piece(line, spath.verts):
             continue
         for chord in line_lifts(line, sleeve):
             while len(comps := chord_meeting_components(spath, chord)) > 1:
@@ -349,7 +375,7 @@ def tighten(path, domain: PolygonalDomain) -> TightenReport:
     # a two-vertex path is a straight segment; no line can meet it in more
     # than one component
     while len(spath.verts) > 2:
-        lines = [ln for ln in _family_lines(tri, extra) if ln.key not in swept]
+        lines = _family_lines(tri, extra, swept)
         if not lines:
             break
         swept.update(ln.key for ln in lines)
@@ -461,9 +487,12 @@ def certify_efficient(path, d: PolygonalDomain, stop_after: Optional[int] = None
     of {domain vertices, path endpoints}, lifted into the sleeve of
     `path`'s own crossing word, and that every bend is a blocked domain
     corner.  A path whose bends are all blocked is locally shortest, and
-    in its class a locally shortest path is the shortest one.
-    `stop_after` ends the line scan once that many violations are
-    recorded; leave it None for a full scan."""
+    in its class a locally shortest path is the shortest one.  A line
+    that meets the path in one piece of the plane is counted in
+    `lines_sampled` but not lifted: none of its chords can meet the path
+    in two pieces, so it can add no violation.  `stop_after` ends the
+    line scan once that many violations are recorded; leave it None for
+    a full scan."""
     p = path if isinstance(path, PathPoly) else PathPoly(path)
     sleeve, spath = _as_sleeve_path(p, d)
     violations = []
@@ -472,7 +501,7 @@ def certify_efficient(path, d: PolygonalDomain, stop_after: Optional[int] = None
         if stop_after is not None and len(violations) >= stop_after:
             break
         sampled += 1
-        if _line_misses_path(line, spath.verts):
+        if _meets_in_one_piece(line, spath.verts):
             continue
         for ci, chord in enumerate(line_lifts(line, sleeve)):
             comps = chord_meeting_components(spath, chord)

@@ -106,6 +106,45 @@ def test_line_through_key_direction_free(a, b):
     assert line_side(l1, a) == 0 and line_side(l1, b) == 0
 
 
+def _rationals(scale, offset):
+    # unequal denominators, both signs, around `offset` in steps of `scale`
+    return st.builds(lambda n, d: offset + Fraction(n, d) * scale, st.integers(-300, 300), st.integers(1, 60))
+
+
+@st.composite
+def line_cases(draw):
+    """Two distinct points, maybe on one axis-parallel line, and a third,
+    at a small scale or near 1e300, where no float determinant is trusted,
+    or past the float range, where the points' floats are NaN."""
+    scale, offset = draw(st.sampled_from([(1, 0), (Fraction(1, 7), 0), (1, 10**300), (10**300, 0), (10**400, 0)]))
+    c = _rationals(scale, offset)
+    p, q, r = (Pt(draw(c), draw(c)) for _ in range(3))
+    axis = draw(st.sampled_from(["", "x", "y"]))
+    if axis:
+        q = Pt(p.x, q.y) if axis == "x" else Pt(q.x, p.y)
+    if p == q:
+        q = q + (Pt(0, scale) if axis == "x" else Pt(scale, 0))
+    return p, q, r
+
+
+@given(line_cases())
+@settings(max_examples=300)
+def test_line_through_matches_anchor_and_direction(case):
+    p, q, r = case
+    ln = LineSpec.through(p, q)
+    ref = LineSpec(p, q - p)
+    assert ln.key == ref.key
+    assert ln.anchor == ref.anchor == p and ln.tip == ref.tip == q
+    assert ln.direction == ref.direction == q - p
+    assert line_side(ln, r) == line_side(ref, r) == orient(p, q, r)
+    assert line_param(ln, r) == line_param(ref, r) == dot(r - p, q - p) / dot(q - p, q - p)
+    # the key is primitive, with A > 0, or A == 0 and B > 0
+    A, B, C = ln.key
+    assert math.gcd(A, B, C) == 1
+    assert A > 0 or (A == 0 and B > 0)
+    assert all(A * v.x + B * v.y == C for v in (p, q))
+
+
 @given(pts, pts, pts)
 @settings(max_examples=300)
 def test_line_side_split(a, b, c):

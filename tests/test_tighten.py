@@ -27,6 +27,7 @@ from tautpath.tighten import (
     _as_sleeve_path,
     _component_ends,
     _family_lines,
+    _meets_in_one_piece,
     _taut_vertex_violations,
 )
 from conftest import replay_persistence_violations
@@ -482,6 +483,26 @@ def test_bridges_that_share_a_corner_triangulate(d):
     assert certify_efficient(rep.path, d).ok
 
 
+MULTI_HOLE_DOMAINS = (CORNER_START, SHARED_BRIDGE, SHARED_BRIDGE4, COLLINEAR_RECTS)
+
+
+def _multi_hole_draws(k, count=25):
+    """(path, valid) for integer-grid paths in MULTI_HOLE_DOMAINS[k], many
+    of them starting or ending at a hole corner, until `count` are valid."""
+    d = MULTI_HOLE_DOMAINS[k]
+    corners = [v for ring in d.holes for v in ring]
+    rng = random.Random(k)
+    out = []
+    while sum(ok for _, ok in out) < count:
+        p = PathPoly([(rng.randint(-7, 7), rng.randint(-7, 7)) for _ in range(rng.randint(2, 4))])
+        r = rng.random()
+        if r < 0.5:
+            ends = [rng.choice(corners), p.end] if r < 0.3 else [p.start, rng.choice(corners)]
+            p = PathPoly([ends[0]] + p.vertices[1:-1] + [ends[1]])
+        out.append((p, validate_path(p, d).ok))
+    return out
+
+
 def test_multi_hole_grid_corpus():
     """Integer-grid paths, many of them starting or ending at hole corners,
     in domains with shared lines through many corners.  Valid ones give
@@ -489,23 +510,14 @@ def test_multi_hole_grid_corpus():
     from oracles import vg_shortest_in_class
 
     invalid = 0
-    for k, d in enumerate((CORNER_START, SHARED_BRIDGE, SHARED_BRIDGE4, COLLINEAR_RECTS)):
+    for k, d in enumerate(MULTI_HOLE_DOMAINS):
         tri = triangulate(d)
-        corners = [v for ring in d.holes for v in ring]
-        rng = random.Random(k)
-        found = 0
-        while found < 25:
-            p = PathPoly([(rng.randint(-7, 7), rng.randint(-7, 7)) for _ in range(rng.randint(2, 4))])
-            r = rng.random()
-            if r < 0.5:
-                ends = [rng.choice(corners), p.end] if r < 0.3 else [p.start, rng.choice(corners)]
-                p = PathPoly([ends[0]] + p.vertices[1:-1] + [ends[1]])
-            if not validate_path(p, d).ok:
+        for p, ok in _multi_hole_draws(k):
+            if not ok:
                 invalid += 1
                 with pytest.raises(InvalidPath):
                     tighten(p, d)
                 continue
-            found += 1
             out = tighten(p, d).path
             assert out.vertices == funnel_shortest(build_sleeve(word_of(p, tri), tri), p.start, p.end), p.vertices
             assert homotopic(p, out, tri), p.vertices
@@ -567,6 +579,57 @@ def test_chord_moves_follow_vertex_pair_lines(d1, over_path, loop_path):
         assert [(m.kind, m.line and m.line.key, m.verts_after, m.pos_after) for m in rep.moves] == [
             (m.kind, m.line and m.line.key, m.verts_after, m.pos_after) for m in other.moves
         ]
+
+
+@pytest.mark.parametrize(
+    "coords, one_piece",
+    [
+        ([(0, 1), (1, 2), (2, 1)], True),  # misses the line
+        ([(0, 1), (1, -1)], True),  # a single crossing
+        ([(0, 1), (1, 0), (2, 1)], True),  # a touch at a vertex
+        ([(0, 1), (1, 0), (2, -1)], True),  # a crossing through a vertex
+        ([(0, 1), (2, 0), (5, 0), (3, 0), (4, -1)], True),  # a run along the line, out and partly back
+        ([(0, -1), (1, 0), (1, 0), (2, -1)], True),  # a repeated (pivot) vertex on the line
+        ([(0, 0), (1, 1), (2, 1)], True),  # starts on the line
+        ([(0, 1), (1, 1), (2, 0)], True),  # ends on the line
+        ([(0, 1), (1, -1), (2, 1)], False),  # two crossings
+        ([(0, 1), (1, 0), (2, 1), (3, 0), (4, 1)], False),  # two touches
+        ([(0, 0), (1, 1), (2, -1)], False),  # starts on the line, then crosses it
+        ([(0, 1), (1, -1), (2, 0)], False),  # crosses, then ends on the line
+        ([(0, 0), (1, 0), (2, 1), (3, 0)], False),  # a run, then a touch
+    ],
+)
+def test_one_piece_event_count(coords, one_piece):
+    # the line y = 0, whose left side is y > 0
+    line = LineSpec.through(Pt(0, 0), Pt(1, 0))
+    assert _meets_in_one_piece(line, as_pts(coords)) is one_piece
+
+
+def _run_record(p, d):
+    """The move log, the output, and the certificates of the input and of
+    the output: everything a run and its checks report."""
+    rep = tighten(p, d)
+    log = [(m.kind, m.line and m.line.key, m.verts_after, m.pos_after) for m in rep.moves]
+    return log, rep.path.vertices, [vars(certify_efficient(q, d)) for q in (p, rep.path)]
+
+
+def test_one_piece_filter_changes_nothing(d1, monkeypatch):
+    """Skipping the lines that meet the path in one piece of the plane
+    changes no move, output or certificate: with the filter switched off
+    every line is lifted and every chord is tested."""
+    from conftest import instance_batch
+
+    cases = [(inst["domain"], inst["path"]) for inst in instance_batch(40, seed0=0, max_holes=5, spread=53)]
+    cases += [(d1, p) for p in _grid_paths(d1, 200)]
+    for k, d in enumerate(MULTI_HOLE_DOMAINS):
+        cases += [(d, p) for p, ok in _multi_hole_draws(k) if ok]
+    shipped = [_run_record(p, d) for d, p in cases]
+    monkeypatch.setattr(sys.modules["tautpath.tighten"], "_meets_in_one_piece", lambda line, verts: False)
+    split = 0
+    for (d, p), rec in zip(cases, shipped):
+        assert _run_record(p, d) == rec, p.vertices
+        split += bool(rec[2][0]["violations"])
+    assert split >= 100, split
 
 
 # --- error paths ---
