@@ -12,6 +12,7 @@ error bound covering both the dropped weights and the grid spacing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,41 +90,84 @@ def _greedy_value(G: np.ndarray, k_max: int) -> float:
     return sum(d * 2.0 ** -(r + 1) for r, d in enumerate(ds))
 
 
+# earlier DP rows are read in blocks of at most this many, so the scratch
+# buffer stays a fixed (64, k, 2^(k-1)) whatever the grid size
+_BLOCK = 64
+
+
+def _slot_tables(k: int):
+    """Index tables of the weight-slot DP over subsets of k slots.  Row s
+    of DST lists, ascending, the 2^(k-1) masks that hold slot s; the same
+    row of SRC lists each of those masks with slot s taken out."""
+    t = np.arange(1 << (k - 1))
+    s = np.arange(k)[:, None]
+    src = ((t >> s) << (s + 1)) | (t & ((1 << s) - 1))
+    return src, src | (1 << s)
+
+
 def path_len(path, k_max: int = 8, refine: int = 3) -> LenValue:
     """Certified lower bound and error bound for the path's bounded
     length.  `refine` bisection rounds set the endpoint grid.  Weight
     levels up to 8 are searched exactly; past that a greedy family can
     only raise the value, and the dropped tail stays inside the error
     bound.
+
+    The exact search is a DP over grid points j and subsets m of weight
+    slots: D[j, m] is the best family ending by point j that fills the
+    slots in m, and an interval [i, j] in slot s extends D[i, m - {s}]
+    by w_s * G[i, j].  Row j reads every earlier row once per slot, so
+    the rows are kept stacked as S[i, s] = D[i, SRC[s]] and one add and
+    one max over the earlier rows serve all slots at once.  Only the
+    current row of D is kept.
     """
     if k_max < 1:
         raise ValueError("k_max must be positive")
-    pts = _refine(_as_float_pts(path), refine)
-    P = np.asarray(pts, dtype=np.float64)
+    raw = _as_float_pts(path)
+    if not raw:
+        raise ValueError("a path needs at least one point")
+    if not np.isfinite(raw).all():
+        raise ValueError("path coordinates must be finite")
+    P = np.asarray(_refine(raw, refine), dtype=np.float64)
     N = len(P)
-    diff = P[:, None, :] - P[None, :, :]
-    dm = np.hypot(diff[..., 0], diff[..., 1])
-    G = dm / (1.0 + dm)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dm = np.subtract.outer(P[:, 0], P[:, 0])
+        dy = np.subtract.outer(P[:, 1], P[:, 1])
+        np.hypot(dm, dy, out=dm)
+    diam = float(dm.max())
+    if not math.isfinite(diam):
+        raise ValueError("path points lie too far apart for a float distance")
+    G = np.add(dm, 1.0, out=dy)
+    np.divide(dm, G, out=G)
+    del dm, dy
     k = min(k_max, 8)
     full = 1 << k
     w = np.array([2.0 ** -(s + 1) for s in range(k)])
-    masks = np.arange(full)
-    has_bit = [(masks >> s) & 1 == 1 for s in range(k)]
-    D = np.zeros((N, full))
+    src, dst = _slot_tables(k)
+    S = np.empty((N, k, full // 2))
+    S[0] = 0.0
+    row = np.zeros(full)
+    # cand[s, m]: the best family of slots m whose last interval, in slot
+    # s, ends at j; the entries whose m lacks s stay -inf
+    cand = np.full((k, full), -np.inf)
+    to_cand = (dst + full * np.arange(k)[:, None]).ravel()
+    buf = np.empty((min(N, _BLOCK), k, full // 2))
     for j in range(1, N):
-        best = D[j - 1].copy()
-        col = G[:j, j]
-        for s in range(k):
-            m = masks[has_bit[s]]
-            vals = D[:j][:, m ^ (1 << s)] + w[s] * col[:, None]
-            best[m] = np.maximum(best[m], vals.max(axis=0))
-        D[j] = best
-    value = float(D[N - 1, full - 1])
+        # G is symmetric to the bit, and its rows are contiguous
+        wg = G[j, :j, None] * w
+        best = None
+        for b in range(0, j, _BLOCK):
+            e = min(b + _BLOCK, j)
+            blk = np.add(S[b:e], wg[b:e, :, None], out=buf[: e - b])
+            top = blk.max(axis=0)
+            best = top if best is None else np.maximum(best, top, out=best)
+        cand.ravel()[to_cand] = best.ravel()
+        np.maximum(row, cand.max(axis=0), out=row)
+        S[j] = row[src]
+    value = float(row[full - 1])
     if k_max > k:
         value = max(value, _greedy_value(G, min(k_max, 32)))
     seg = P[1:] - P[:-1]
     h = float(np.hypot(seg[:, 0], seg[:, 1]).max()) if N > 1 else 0.0
-    diam = float(dm.max())
     slack = 2.0 ** -k + 2.0 * h
     cap = gauge(diam) - value
     err = max(0.0, min(slack, cap))

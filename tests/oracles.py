@@ -25,12 +25,18 @@ the library's triangulation walk must reproduce.
 
 `scan_fan` finds a vertex's star by scanning every triangle and every
 diagonal, the fan the triangulation builds once from its turn table.
+
+`slot_loop_len_value` runs path_len's weight-slot DP one slot at a
+time, gathering every earlier row's entries for each slot, the loop the
+library's stacked-row DP must reproduce bit for bit.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+
+import numpy as np
 
 from tautpath import PathPoly, triangulate
 from tautpath.domain import ValidationReport, locate
@@ -62,6 +68,7 @@ from tautpath.homotopy import (
     walk_triangles,
     word_of,
 )
+from tautpath.pathlen import LenValue, _as_float_pts, _greedy_value, _refine, gauge
 from tautpath.tighten import _as_sleeve_path, funnel_shortest
 
 
@@ -303,6 +310,42 @@ def brute_len_value(pts, k: int, grid_pts=None):
             if val > best:
                 best = val
     return best
+
+
+def slot_loop_len_value(pts, k_max: int = 8, refine: int = 3) -> LenValue:
+    """Reference for path_len: the same DP over grid points and subsets of
+    weight slots, with one fancy-index gather of every earlier row per
+    slot and the full (N, 2^k) table kept."""
+    pts = _refine(_as_float_pts(pts), refine)
+    P = np.asarray(pts, dtype=np.float64)
+    N = len(P)
+    diff = P[:, None, :] - P[None, :, :]
+    dm = np.hypot(diff[..., 0], diff[..., 1])
+    G = dm / (1.0 + dm)
+    k = min(k_max, 8)
+    full = 1 << k
+    w = np.array([2.0 ** -(s + 1) for s in range(k)])
+    masks = np.arange(full)
+    has_bit = [(masks >> s) & 1 == 1 for s in range(k)]
+    D = np.zeros((N, full))
+    for j in range(1, N):
+        best = D[j - 1].copy()
+        col = G[:j, j]
+        for s in range(k):
+            m = masks[has_bit[s]]
+            vals = D[:j][:, m ^ (1 << s)] + w[s] * col[:, None]
+            best[m] = np.maximum(best[m], vals.max(axis=0))
+        D[j] = best
+    value = float(D[N - 1, full - 1])
+    if k_max > k:
+        value = max(value, _greedy_value(G, min(k_max, 32)))
+    seg = P[1:] - P[:-1]
+    h = float(np.hypot(seg[:, 0], seg[:, 1]).max()) if N > 1 else 0.0
+    diam = float(dm.max())
+    slack = 2.0 ** -k + 2.0 * h
+    cap = gauge(diam) - value
+    err = max(0.0, min(slack, cap))
+    return LenValue(value=value, error_bound=err)
 
 
 def tri_containing(tri, p: Pt):

@@ -1,12 +1,13 @@
 """Bounded length functional: axioms, brute-force cross-checks, orderings."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tautpath.pathlen import path_len, len_compare, gauge
-from oracles import brute_len_value
+from oracles import brute_len_value, slot_loop_len_value
 
 OVER = [(-3, 0), (0, 3), (3, 0)]
 GOLD = [(-3, 0), (-1, 1), (1, 1), (3, 0)]
@@ -46,9 +47,26 @@ def test_matches_brute_force_on_small_grids():
         [(0, 0), (2, 0), (1, 1), (3, 1)],
         [(0, 0), (0.25, 0), (0.5, 0), (0.75, 0), (1, 0)],
         [(-1, 0), (0, 2), (1, 0)],
+        [(0, 0), (3, 1), (1, 2), (4, 4), (0, 5), (2, -1)],
+        [(0, 0), (0.5, 2), (1, 0), (1.5, 2), (2, 0), (2.5, 2)],
     ]
     for pts in cases:
-        for k in (1, 2, 3):
+        for k in range(1, 7):
+            got = path_len(pts, k, refine=0).value
+            want = brute_len_value(pts, k)
+            assert abs(got - want) < 1e-12, (pts, k)
+
+
+def test_every_slot_filled_matches_brute_force():
+    # seven points that turn back at every vertex hold six intervals whose
+    # union beats any merge, so the best family at k = 6 fills the last
+    # weight slot too
+    for pts in (
+        [(0, 0), (1, 0)] * 3 + [(0, 0)],
+        [(0, 0), (1, 0), (0.1, 0.2), (1.3, 0.1), (0, 0.3), (0.9, 0.4), (0.2, 0.1)],
+    ):
+        assert brute_len_value(pts, 6) > brute_len_value(pts, 5)
+        for k in (5, 6):
             got = path_len(pts, k, refine=0).value
             want = brute_len_value(pts, k)
             assert abs(got - want) < 1e-12, (pts, k)
@@ -61,15 +79,79 @@ def test_matches_brute_force_on_small_grids():
             st.integers(-12, 12).map(lambda v: v / 4.0),
         ),
         min_size=2,
-        max_size=5,
+        max_size=6,
     ),
-    st.integers(1, 3),
+    st.integers(1, 6),
 )
 @settings(max_examples=40, deadline=None)
 def test_exact_search_matches_brute(pts, k):
     got = path_len(pts, k, refine=0).value
     want = brute_len_value(pts, k)
     assert abs(got - want) < 1e-12
+
+
+def _ranked_zigzags(k):
+    """Zigzags along the x-axis whose legs, after a short first one, take
+    the ranks of an ordering of the k weight slots: the leg of rank r has
+    length 1 - r/512.  The legs differ so little that no merge of legs
+    pays, so the best family puts leg r in slot r, and the DP's chain to
+    it passes through the ordering's prefix masks.  One ordering is made
+    for each (mask, slot) pair that no earlier one passes, so every entry
+    of the slot tables lies on some best chain."""
+    met = set()
+    for m in range(1 << k):
+        for s in range(k):
+            if not m >> s & 1 or (m, s) in met:
+                continue
+            order = [r for r in range(k) if m >> r & 1 and r != s] + [s]
+            order += [r for r in range(k) if not m >> r & 1]
+            x, pts, acc = -1 / 16, [(0.0, 0.0), (-1 / 16, 0.0)], 0
+            for leg, r in enumerate(order):
+                x += (-1) ** leg * (1.0 - r / 512)
+                pts.append((x, 0.0))
+                acc |= 1 << r
+                met.add((acc, r))
+            yield pts
+
+
+def _slot_loop_cases():
+    """(pts, k_max, refine) inputs for the reference comparison: random
+    polylines whose grids hold 1 to about 200 points at every k_max and
+    refine, then repeated points, collinear chops, detour pairs and the
+    ranked zigzags."""
+    rng = random.Random(2500)
+    cases = []
+    for k_max in (1, 2, 3, 4, 5, 6, 7, 8, 9, 12):
+        for refine in range(4):
+            for grid in (1, 2, 5, 24, 200):
+                n = 1 + (grid - 1) // (1 << refine)
+                pts = [(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)) for _ in range(n)]
+                cases.append((pts, k_max, refine))
+    for refine in (0, 2):
+        for k_max in (3, 8):
+            cases.append(([(2, 3)] * 4, k_max, refine))
+            cases.append(([(0, 0), (0, 0), (1, 2), (1, 2), (1, 2), (3, 1)], k_max, refine))
+    for k_max in (8, 12):
+        cases.append((chop(OVER, 0.05), k_max, 0))
+        cases.append((chop(GOLD, 0.1), k_max, 1))
+    for _ in range(6):
+        L = rng.uniform(1.0, 2.0)
+        top = (L * rng.uniform(0.3, 0.7), rng.uniform(4.0, 6.0))
+        cases.append((chop([(0, 0), (L, 0)], 0.05), 6, 0))
+        cases.append((chop([(0, 0), top, (L, 0)], 0.05), 6, 0))
+    for k in range(1, 9):
+        cases.extend((pts, k, 0) for pts in _ranked_zigzags(k))
+    return cases
+
+
+def test_matches_slot_loop_reference_exactly():
+    # the DP takes the same float sums and exact maxima as the per-slot
+    # loop, so value and error bound agree to the last bit
+    for pts, k_max, refine in _slot_loop_cases():
+        got = path_len(pts, k_max, refine)
+        want = slot_loop_len_value(pts, k_max, refine)
+        assert got.value == want.value, (len(pts), k_max, refine)
+        assert got.error_bound == want.error_bound, (len(pts), k_max, refine)
 
 
 def test_deeper_families_only_raise_value():
@@ -245,3 +327,29 @@ def test_huge_coordinates_give_a_finite_value():
     lv = path_len([(1e199, 1e199), (5e199, 2e199), (3e199, 3e199)])
     assert math.isfinite(lv.value) and math.isfinite(lv.error_bound)
     assert lv.value + lv.error_bound <= 1.0
+
+
+# --- rejected inputs ---
+
+
+@pytest.mark.parametrize("refine", [0, 3])
+def test_empty_path_is_rejected(refine):
+    with pytest.raises(ValueError, match="at least one point"):
+        path_len([], 8, refine)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_coordinates_are_rejected(bad):
+    for pts in ([(0, 0), (bad, 1)], [(bad, 0)], [(0, 0), (1, 1), (2, bad)]):
+        for refine in (0, 3):
+            with pytest.raises(ValueError, match="finite"):
+                path_len(pts, 8, refine)
+    with pytest.raises(ValueError, match="finite"):
+        len_compare([(0, 0), (1, 0)], [(0, 0), (bad, 1)])
+
+
+def test_points_beyond_a_float_distance_are_rejected():
+    # each coordinate is finite, but the distance between the points is not
+    for refine in (0, 3):
+        with pytest.raises(ValueError, match="too far apart"):
+            path_len([(-1e308, 0), (1e308, 0)], 8, refine)
